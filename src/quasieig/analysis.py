@@ -19,9 +19,7 @@ from .matcore import (
     as_matrix,
     classify,
     eig_oracle,
-    max_re,
     operator_norm,
-    spectral_radius,
     symmetric_part_eigs,
 )
 from .quasi import QuasiEigenResult, quasi_pair, upper_quasi_eigenvalue
@@ -87,72 +85,75 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def perron_check(a, tol: float = 1e-9) -> TheoremReport:
+# name -> (classify flag that makes it applicable, why not otherwise,
+# spectral functional, its label in ``details``, what an equality matches)
+_ORTHANT_IDENTITIES = {
+    "perron_root": (
+        "nonnegative", "matrix has negative entries", abs, "spectral_radius", "magnitude"
+    ),
+    "max_real_part": (
+        "offdiag_nonneg", "off-diagonal entries change sign", lambda val: val.real, "max_re",
+        "real part",
+    ),
+}
+
+
+def _orthant_identity_check(
+    name: str, a, tol: float, pair: QuasiEigenResult | None
+) -> TheoremReport:
+    """Shared body of ``perron_check`` and ``max_re_check``: the upper
+    quasi-eigenvalue over the orthant dominates the largest value of the
+    spectral functional, with equality when it lands on one."""
+    flag, why_not, functional, label, match = _ORTHANT_IDENTITIES[name]
+    a = as_matrix(a)
+    if not getattr(classify(a), flag):
+        return TheoremReport(
+            name=name,
+            holds=False,
+            lhs=math.nan,
+            rhs=math.nan,
+            slack=math.nan,
+            details=f"not applicable: {why_not}",
+            applicable=False,
+        )
+    if pair is None:
+        lam, _ = upper_quasi_eigenvalue(a, Cone.orthant(a.shape[0]), tol)
+    else:
+        lam = pair.lambda_upper
+    values = [functional(val) for val, _ in eig_oracle(a)]
+    bound = max(values)
+    holds = lam >= bound - tol
+    details = f"upper={_fmt(lam)} {label}={_fmt(bound)}"
+    if min(abs(lam - x) for x in values) <= tol:
+        holds = holds and abs(lam - bound) <= tol
+        details += f"; equality branch (value matches an eigenvalue {match})"
+    return TheoremReport(
+        name=name,
+        holds=holds,
+        lhs=lam,
+        rhs=bound,
+        slack=lam - bound,
+        details=details,
+    )
+
+
+def perron_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
     """Nonnegative matrices: the upper quasi-eigenvalue over the orthant
     dominates the spectral radius, with equality when it lands on an
-    eigenvalue magnitude."""
-    a = as_matrix(a)
-    if not classify(a).nonnegative:
-        return TheoremReport(
-            name="perron_root",
-            holds=False,
-            lhs=math.nan,
-            rhs=math.nan,
-            slack=math.nan,
-            details="not applicable: matrix has negative entries",
-            applicable=False,
-        )
-    cone = Cone.orthant(a.shape[0])
-    lam, _ = upper_quasi_eigenvalue(a, cone, tol)
-    rho = spectral_radius(a)
-    holds = lam >= rho - tol
-    details = f"upper={_fmt(lam)} spectral_radius={_fmt(rho)}"
-    mags = [abs(val) for val, _ in eig_oracle(a)]
-    if min(abs(lam - mag) for mag in mags) <= tol:
-        holds = holds and abs(lam - rho) <= tol
-        details += "; equality branch (value matches an eigenvalue magnitude)"
-    return TheoremReport(
-        name="perron_root",
-        holds=holds,
-        lhs=lam,
-        rhs=rho,
-        slack=lam - rho,
-        details=details,
-    )
+    eigenvalue magnitude.
+
+    ``pair``, when given, must be ``quasi_pair(a, Cone.orthant(n), tol)``;
+    its upper value is used instead of solving again."""
+    return _orthant_identity_check("perron_root", a, tol, pair)
 
 
-def max_re_check(a, tol: float = 1e-9) -> TheoremReport:
+def max_re_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
     """Matrices with nonnegative off-diagonal entries: the upper
     quasi-eigenvalue over the orthant dominates the largest eigenvalue
-    real part, with equality when it lands on one."""
-    a = as_matrix(a)
-    if not classify(a).offdiag_nonneg:
-        return TheoremReport(
-            name="max_real_part",
-            holds=False,
-            lhs=math.nan,
-            rhs=math.nan,
-            slack=math.nan,
-            details="not applicable: off-diagonal entries change sign",
-            applicable=False,
-        )
-    cone = Cone.orthant(a.shape[0])
-    lam, _ = upper_quasi_eigenvalue(a, cone, tol)
-    mre = max_re(a)
-    holds = lam >= mre - tol
-    details = f"upper={_fmt(lam)} max_re={_fmt(mre)}"
-    res = [val.real for val, _ in eig_oracle(a)]
-    if min(abs(lam - re) for re in res) <= tol:
-        holds = holds and abs(lam - mre) <= tol
-        details += "; equality branch (value matches an eigenvalue real part)"
-    return TheoremReport(
-        name="max_real_part",
-        holds=holds,
-        lhs=lam,
-        rhs=mre,
-        slack=lam - mre,
-        details=details,
-    )
+    real part, with equality when it lands on one.
+
+    ``pair`` is used as in ``perron_check``."""
+    return _orthant_identity_check("max_real_part", a, tol, pair)
 
 
 def _eig_is_simple(a, lam: float, cluster_gap: float = 1e-6) -> bool:
@@ -161,10 +162,12 @@ def _eig_is_simple(a, lam: float, cluster_gap: float = 1e-6) -> bool:
     return int(np.sum(np.abs(vals - nearest) <= cluster_gap)) == 1
 
 
-def isc_check(a, tol: float = 1e-9) -> TheoremReport:
+def isc_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
     """Irreducible sign-constant-off-diagonal matrices: the two
     quasi-eigenvalues over the orthant coincide at a simple eigenvalue
-    whose right and left eigenvectors are strictly positive."""
+    whose right and left eigenvectors are strictly positive.
+
+    ``pair``, when given, must be ``quasi_pair(a, Cone.orthant(n), tol)``."""
     a = as_matrix(a)
     if not classify(a).isc:
         return TheoremReport(
@@ -176,7 +179,8 @@ def isc_check(a, tol: float = 1e-9) -> TheoremReport:
             details="not applicable: matrix is not irreducible sign-constant",
             applicable=False,
         )
-    pair = quasi_pair(a, Cone.orthant(a.shape[0]), tol)
+    if pair is None:
+        pair = quasi_pair(a, Cone.orthant(a.shape[0]), tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
     simple = _eig_is_simple(a, pair.lambda_upper)
     holds = (
@@ -352,11 +356,15 @@ def cone_continuity_experiment(
     )
 
 
-def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
+def bounds_check(
+    a, cone: Cone, tol: float = 1e-9, pair: QuasiEigenResult | None = None
+) -> TheoremReport:
     """The symmetric-part eigenvalue sandwich, plus the eigenvalue
-    real-part sandwich when the matrix is normal."""
+    real-part sandwich when the matrix is normal.  ``pair``, when given,
+    must be ``quasi_pair(a, cone, tol)``."""
     a = as_matrix(a)
-    pair = quasi_pair(a, cone, tol)
+    if pair is None:
+        pair = quasi_pair(a, cone, tol)
     sym = symmetric_part_eigs(a)
     lo, hi = float(sym[0]), float(sym[-1])
     margins = [
@@ -474,7 +482,9 @@ def normal_canonical_form(a, tol: float = 1e-10) -> NormalCanonicalForm:
     return form
 
 
-def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
+def theorem4_classify(
+    a, cone: Cone, tol: float = 1e-9, pair: QuasiEigenResult | None = None
+) -> TheoremReport:
     """Predict both quasi-eigenvalues of a normal matrix from which
     invariant subspaces of its canonical form meet the open cone, then
     compare the prediction against the LP-bisection values.
@@ -489,6 +499,8 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     open cone with neither of its axes inside, and the true values then
     fall strictly between the eigenvalue real parts; the report carries
     the discrepancy (``holds=False``) rather than raising.
+
+    ``pair``, when given, must be ``quasi_pair(a, cone, tol)``.
     """
     a = as_matrix(a)
     form = normal_canonical_form(a)
@@ -511,7 +523,8 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
         case = "boundary-only"
         pred_up, pred_lo = max(re_parts), min(re_parts)
 
-    pair = quasi_pair(a, cone, tol)
+    if pair is None:
+        pair = quasi_pair(a, cone, tol)
     dev = max(abs(pair.lambda_upper - pred_up), abs(pair.lambda_lower - pred_lo))
     holds = consistent and dev <= 10.0 * tol
     mixed = form.l > 0 and len(form.real_eigs) > 0
@@ -530,14 +543,19 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     )
 
 
-def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
+def invariance_check(
+    a, cone: Cone, u, tol: float = 1e-9, pair: QuasiEigenResult | None = None
+) -> TheoremReport:
     """Both quasi-eigenvalues are unchanged by an orthogonal change of
-    variables applied to the matrix and the cone together."""
+    variables applied to the matrix and the cone together.  ``pair``, when
+    given, must be ``quasi_pair(a, cone, tol)``; the conjugated instance
+    is always solved."""
     a = as_matrix(a)
     u = as_matrix(u)
     if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:
         raise NotOrthogonal("change-of-variables matrix is not orthogonal")
-    pair = quasi_pair(a, cone, tol)
+    if pair is None:
+        pair = quasi_pair(a, cone, tol)
     conj = quasi_pair(u.T @ a @ u, Cone.rotated(u.T @ cone.basis), tol)
     dev = max(
         abs(pair.lambda_upper - conj.lambda_upper),

@@ -310,21 +310,37 @@ def _dispatch(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> int
 
 def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> int:
     """Run every applicable checker for one matrix; success iff all
-    applicable reports hold."""
+    applicable reports hold.
+
+    The base pair is solved once and shared by every checker over
+    ``cone``.  The three orthant-only checkers share it when ``cone`` is
+    the orthant; over another cone they share one orthant pair when the
+    ISC check applies.  Otherwise the Perron and max-real-part checks
+    solve the upper orthant value themselves: solving the lower one, which
+    neither reads, could raise where they would not.  The conjugated and
+    the perturbed instances are solved inside their checkers."""
     tol = config.tol
     pair = quasi_pair(m, cone, tol)
     _fill_quasi(report, pair)
-    report["flags"].update(asdict(classify(m)))
+    flags = classify(m)
+    report["flags"].update(asdict(flags))
 
+    orthant_pair = None
+    if cone.rotation is None:
+        orthant_pair = pair
+    elif flags.isc:
+        orthant_pair = quasi_pair(m, Cone.orthant(m.shape[0]), tol)
     reps = [
-        analysis.bounds_check(m, cone, tol),
-        analysis.perron_check(m, tol),
-        analysis.max_re_check(m, tol),
-        analysis.isc_check(m, tol),
-        analysis.invariance_check(m, cone, random_orthogonal(m.shape[0], config.seed), tol),
+        analysis.bounds_check(m, cone, tol, pair=pair),
+        analysis.perron_check(m, tol, pair=orthant_pair),
+        analysis.max_re_check(m, tol, pair=orthant_pair),
+        analysis.isc_check(m, tol, pair=orthant_pair),
+        analysis.invariance_check(
+            m, cone, random_orthogonal(m.shape[0], config.seed), tol, pair=pair
+        ),
     ]
-    if classify(m).normal:
-        reps.append(analysis.theorem4_classify(m, cone, tol))
+    if flags.normal:
+        reps.append(analysis.theorem4_classify(m, cone, tol, pair=pair))
     if pair.u_interior or pair.v_interior:
         rng = np.random.default_rng(config.seed)
         d = rng.standard_normal(m.shape)

@@ -156,6 +156,14 @@ def _bracket(a) -> tuple[float, float]:
     return float(sym[0]) - pad, float(sym[-1]) + pad
 
 
+def _breakdown(what: str, lo: float, hi: float, tol: float) -> NumericalBreakdown:
+    """A ``NumericalBreakdown`` naming the bracket at which the bisection
+    stopped."""
+    return NumericalBreakdown(
+        f"{what}: bracket [{lo:.17g}, {hi:.17g}], width {hi - lo:.3g}, tol {tol:.3g}"
+    )
+
+
 def _vertex_if_feasible(g: np.ndarray, best: bool = False) -> np.ndarray | None:
     """A simplex point with (recomputed) margin ``min(G x) >= -slack``,
     or None.  Unless ``best`` is set, a single-coordinate vertex that
@@ -211,7 +219,7 @@ def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
         lo -= 4.0 * (hi - lo)
         w = _feasible_upper(b, lo)
     if w is None:
-        raise NumericalBreakdown("no feasible lower bracket for the upper value")
+        raise _breakdown("no feasible lower bracket for the upper value", lo, hi, tol)
     for _ in range(3):
         if _feasible_upper(b, hi) is None:
             break
@@ -220,7 +228,9 @@ def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
     while hi - lo > tol:
         steps += 1
         if steps > _MAX_BISECT_STEPS:
-            raise NumericalBreakdown("bisection exceeded its step budget")
+            raise _breakdown(
+                f"bisection exceeded its step budget of {_MAX_BISECT_STEPS} steps", lo, hi, tol
+            )
         mid = 0.5 * (lo + hi)
         wm = _feasible_upper(b, mid)
         if wm is not None:
@@ -258,7 +268,7 @@ def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
         hi += 4.0 * (hi - lo)
         z = _feasible_lower(bt, hi)
     if z is None:
-        raise NumericalBreakdown("no feasible upper bracket for the lower value")
+        raise _breakdown("no feasible upper bracket for the lower value", lo, hi, tol)
     for _ in range(3):
         if _feasible_lower(bt, lo) is None:
             break
@@ -267,7 +277,9 @@ def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
     while hi - lo > tol:
         steps += 1
         if steps > _MAX_BISECT_STEPS:
-            raise NumericalBreakdown("bisection exceeded its step budget")
+            raise _breakdown(
+                f"bisection exceeded its step budget of {_MAX_BISECT_STEPS} steps", lo, hi, tol
+            )
         mid = 0.5 * (lo + hi)
         zm = _feasible_lower(bt, mid)
         if zm is not None:

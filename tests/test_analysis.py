@@ -9,6 +9,7 @@ from quasieig import (
     NotInterior,
     NotNormal,
     bounds_check,
+    classify,
     cone_continuity_experiment,
     givens_rotation,
     invariance_check,
@@ -25,7 +26,13 @@ from quasieig import (
     theorem4_classify,
 )
 from quasieig.analysis import assemble_canonical
-from helpers import random_isc, random_irreducible_nonneg, random_normal_matrix
+from helpers import (
+    random_irreducible_nonneg,
+    random_isc,
+    random_matrix,
+    random_metzler,
+    random_normal_matrix,
+)
 
 ISC = np.array([[0.0, 2.0], [3.0, 0.0]])
 ORTHANT2 = Cone.orthant(2)
@@ -360,3 +367,37 @@ def test_perturbation_stability_fixture_hundred_seeds():
         moved = quasi_pair(ISC + d, cone)
         dev = max(abs(moved.lambda_upper - lam), abs(moved.lambda_lower - lam))
         assert dev <= c0 * 0.05 + 1e-8
+
+
+_REUSE_RNG = np.random.default_rng(28)
+REUSE_CASES = {
+    "example1": np.diag([2.0, 1.0]),
+    "example2": np.array([[1.0, -1.0], [1.0, 1.0]]),
+    "isc_fixture": ISC,
+    "isc+": random_isc(_REUSE_RNG, 4, sign=1),
+    "isc-": random_isc(_REUSE_RNG, 5, sign=-1),
+    "metzler": random_metzler(_REUSE_RNG, 4),
+    "perron": random_irreducible_nonneg(_REUSE_RNG, 5),
+    "normal": random_normal_matrix(_REUSE_RNG, 4)[0],
+    "generic": random_matrix(_REUSE_RNG, 4),
+}
+
+
+@pytest.mark.parametrize("kind", ["orthant", "rotated"])
+@pytest.mark.parametrize("case", list(REUSE_CASES))
+def test_checkers_give_the_same_report_with_a_precomputed_pair(case, kind):
+    # A checker handed quasi_pair(a, cone) must report exactly what it
+    # reports when it solves the pair itself (repr compares floats
+    # bit-for-bit and NaN equal to NaN).  The orthant-only checkers take
+    # the orthant pair, so they run on the orthant case only.
+    a = REUSE_CASES[case]
+    n = a.shape[0]
+    cone = Cone.orthant(n) if kind == "orthant" else Cone.rotated(random_orthogonal(n, 5))
+    pair = quasi_pair(a, cone)
+    calls = [(bounds_check, (a, cone)), (invariance_check, (a, cone, random_orthogonal(n, 9)))]
+    if classify(a).normal:
+        calls.append((theorem4_classify, (a, cone)))
+    if kind == "orthant":
+        calls += [(perron_check, (a,)), (max_re_check, (a,)), (isc_check, (a,))]
+    for check, args in calls:
+        assert repr(check(*args, pair=pair)) == repr(check(*args)), check.__name__

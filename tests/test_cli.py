@@ -191,3 +191,42 @@ def test_emit_json_17_digits():
     assert json.loads(s)["v"] == x
     assert emit_json(float("nan")) == "NaN"
     assert emit_json([True, None, 3]) == "[true,null,3]"
+
+
+def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
+    # An n = 4 ISC matrix over the orthant has three distinct instances:
+    # the base pair, the conjugated pair of the invariance check and the
+    # perturbed pair, so six one-sided solves.  A rotated cone adds the
+    # orthant pair the Perron, max-real-part and ISC checks share (seed 55
+    # keeps the base pair's vectors interior to the rotation:3 cone, so
+    # the perturbation check still runs).
+    import quasieig.analysis
+    import quasieig.cli
+    import quasieig.quasi
+    from helpers import random_isc
+
+    p = tmp_path / "isc4.json"
+    p.write_text(emit_matrix(random_isc(np.random.default_rng(55), 4, sign=1)))
+    solves, classifies = [], []
+
+    def counting(fn, log):
+        def counted(*args, **kwargs):
+            log.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for side in ("upper_quasi_eigenvalue", "lower_quasi_eigenvalue"):
+        wrapped = counting(getattr(quasieig.quasi, side), solves)
+        for mod in (quasieig.quasi, quasieig.analysis):
+            if hasattr(mod, side):
+                monkeypatch.setattr(mod, side, wrapped)
+    monkeypatch.setattr(quasieig.cli, "classify", counting(quasieig.cli.classify, classifies))
+
+    for spec, expected in (("orthant", 6), ("rotation:3", 8)):
+        solves.clear()
+        classifies.clear()
+        code, _ = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec=spec))
+        assert code == 0
+        assert len(solves) == expected, (spec, solves)
+        assert len(classifies) == 1

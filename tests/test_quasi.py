@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from quasieig import (
     Cone,
     DegeneratePairing,
     NotInCone,
+    NumericalBreakdown,
     UnsupportedDimension,
     brute_minimax,
     contains,
@@ -22,7 +24,7 @@ from quasieig import (
     symmetric_part_eigs,
     upper_quasi_eigenvalue,
 )
-from helpers import random_cone, random_matrix
+from helpers import random_cone, random_irreducible_nonneg, random_matrix
 
 EX1 = np.diag([2.0, 1.0])
 EX2 = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -283,3 +285,19 @@ def test_symmetric_interior_eigenvector_case():
     r = quasi_pair(EX1, cone)
     assert r.lambda_upper == pytest.approx(1.0, abs=1e-8)
     assert r.lambda_lower == pytest.approx(1.0, abs=1e-8)
+
+
+def test_large_scale_breakdown_names_bracket_and_steps():
+    # At ||A|| >= 1e7 the ulp of the value exceeds the absolute tol, so the
+    # bisection cannot close its bracket (a known defect).  The error must
+    # say where it stopped: the bracket, which still holds the value, and
+    # the step count.
+    a = 1e7 * random_irreducible_nonneg(np.random.default_rng(3), 4)
+    with pytest.raises(NumericalBreakdown, match="step budget of 200 steps") as exc:
+        quasi_pair(a, Cone.orthant(4))
+    found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc.value))
+    assert found, str(exc.value)
+    lo, hi = float(found.group(1)), float(found.group(2))
+    rho = max(abs(lam) for lam, _ in eig_oracle(a))  # the upper value (Perron root)
+    assert 1e-9 < hi - lo <= 1e-8
+    assert lo - 1e-8 * rho <= rho <= hi + 1e-8 * rho
