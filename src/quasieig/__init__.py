@@ -5,7 +5,7 @@ Library layout:
 * ``matcore``  - matrix validation, norms, predicates, eigenvalue oracle
 * ``cones``    - orthant / rotated-orthant cones, membership, cone metric
 * ``lp``       - dense max-margin simplex kernel
-* ``quasi``    - minimax quasi-eigenvalues via LP bisection + grid oracle
+* ``quasi``    - minimax quasi-eigenvalues via certified-cut LP search + grid oracle
 * ``analysis`` - theorem-level checkers and experiments
 * ``cli``      - command-line interface and JSON reports
 """
@@ -53,7 +53,7 @@ from .errors import (
     QuasiEigError,
     UnsupportedDimension,
 )
-from .lp import LpSolution, MaxEpsProblem, solve_max_eps
+from .lp import LpSolution, solve_max_eps
 from .matcore import (
     ClassificationReport,
     as_matrix,

@@ -487,7 +487,7 @@ def theorem4_classify(
 ) -> TheoremReport:
     """Predict both quasi-eigenvalues of a normal matrix from which
     invariant subspaces of its canonical form meet the open cone, then
-    compare the prediction against the LP-bisection values.
+    compare the prediction against the LP-search values.
 
     No subspace meeting the interior predicts the full real-part range;
     a meeting subspace pins both values to its eigenvalue real part.

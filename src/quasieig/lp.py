@@ -8,7 +8,13 @@ The one problem solved here is
 for a finite m-by-k matrix G.  Its optimum ``eps_star`` is the best
 worst-row margin achievable on the simplex; the sign of ``eps_star``
 answers "does G x >= 0 admit a simplex point?", which is the feasibility
-question the quasi-eigenvalue bisection asks at every step.
+question the quasi-eigenvalue search asks at every step.  Its dual,
+
+    minimize    mu
+    subject to  G^T y <= mu * 1,   sum(y) = 1,   y >= 0,
+
+has the same optimum; the optimal ``y`` comes back with the solution,
+so one solve bounds a caller's question from both sides.
 
 Implementation notes:
 
@@ -23,8 +29,8 @@ Implementation notes:
   pivoting, so pivot tolerances are scale-free; the scalar is undone on
   return, which keeps ``eps_star`` and ``x_star`` exactly those of the
   stated problem.
-* The problem is always feasible and bounded for finite G, so the status
-  is "optimal" on every successful return; pivoting pathologies raise
+* The problem is always feasible and bounded for finite G, so every
+  successful return is optimal; pivoting pathologies raise
   ``NumericalBreakdown`` instead of returning a bogus certificate.
 """
 
@@ -39,35 +45,36 @@ _PIVOT_TOL = 1e-11
 # A row joins the Bland tie-break group only if choosing it over the true
 # minimum-ratio row damages feasibility by at most this much: the damage
 # is (ratio - best) * pivot-column entry, so a fixed ratio window would be
-# amplified arbitrarily by large column entries (the bisection drives
-# these LPs nearly degenerate, where both effects occur together).
+# amplified arbitrarily by large column entries (the quasi-eigenvalue
+# search drives these LPs nearly degenerate, where both effects occur
+# together).
 _TIE_DAMAGE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class MaxEpsProblem:
-    """A max-margin instance: constraint matrix plus the simplex marker."""
-
-    g: np.ndarray
-    normalization: str = "simplex-sum"
-
-
-@dataclass(frozen=True, eq=False)
 class LpSolution:
+    """An optimal primal-dual pair of the max-margin LP.
+
+    ``x_star`` is the optimal simplex point.  ``y_star`` is the optimal
+    dual, one weight per row of G: ``y_star >= 0``, ``sum(y_star) = 1``
+    and ``max(G^T y_star) = eps_star``, so every simplex point ``x`` has
+    ``min(G x) <= y_star^T G x <= eps_star``.
+    """
+
     eps_star: float
     x_star: np.ndarray = field(repr=False)
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    y_star: np.ndarray = field(repr=False)
 
 
 def solve_max_eps(problem) -> LpSolution:
-    """Solve the max-margin LP for ``problem`` (a ``MaxEpsProblem`` or a
-    plain (m, k) array).
+    """Solve the max-margin LP for ``problem``, an (m, k) array G.
 
     Guarantees on return: ``x_star >= -1e-12`` componentwise,
     ``|sum(x_star) - 1| <= 1e-10``, and ``min(G @ x_star) >= eps_star - 1e-9``.
+    ``y_star`` is read off the final reduced costs of the slack columns
+    (the row duals); no extra solve runs.
     """
-    g = problem.g if isinstance(problem, MaxEpsProblem) else problem
-    g = np.atleast_2d(np.asarray(g, dtype=float))
+    g = np.atleast_2d(np.asarray(problem, dtype=float))
     if not np.all(np.isfinite(g)):
         raise NonFinite("constraint matrix must be finite")
     m, k = g.shape
@@ -138,4 +145,8 @@ def solve_max_eps(problem) -> LpSolution:
     x = full[:k].copy()
     x[(x < 0.0) & (x > -1e-12)] = 0.0
     eps = float(full[k] - full[k + 1]) * (scale if scale > 0.0 else 1.0)
-    return LpSolution(eps_star=eps, x_star=x, status="optimal")
+    # A slack column is -e_i with cost 0, so its reduced cost is the dual
+    # of row i; the eps+/eps- columns force these duals to sum to 1.
+    # Optimality leaves them >= -_REDCOST_TOL; clip that noise.
+    y = np.maximum(reduced[k + 2:], 0.0)
+    return LpSolution(eps_star=eps, x_star=x, y_star=y)

@@ -22,10 +22,20 @@ the smallest ratio ``(B w)_i / w_i`` over the support.  Consequently
 because a feasible ``w`` certifies an inner infimum >= t, and any ``w``
 with finite inner value s satisfies the constraint at t = s.  Feasibility
 is monotone in t (decreasing t only relaxes the constraint), so the value
-is found by bisection, testing each t with the max-margin LP.  The lower
-value mirrors this with ``(B^T - t I) z <= 0`` and downward bisection.
-The symmetric-part eigenvalues bracket both values, which seeds the
-bisection.
+is found by a search on t, testing each t with the max-margin LP, whose
+optimum ``eps*(t)`` changes sign at the value.  Every test narrows the
+bracket from the side it certifies:
+
+* feasible: the returned ``w`` lifts the lower end to its ratio
+  ``min (B w)_i / w_i`` (a Collatz-Wielandt bound);
+* infeasible: the LP dual ``y`` lowers the upper end to
+  ``t + max(B^T y - t y) / max(y)``, widened by the feasibility slack.
+
+The next t is a safeguarded secant step on ``eps*(t)`` or the midpoint,
+and the search stops once the bracket is ``tol / 2`` wide.  The
+symmetric-part eigenvalues bracket both values, which seeds the search.
+The lower value is the reflection ``lower_C(A) = -upper_C(-A^T)``: in the
+cone's axes the same search on ``-B^T`` tests ``(B^T - t I) z <= 0``.
 
 This reduction is validated against a brute-force grid oracle
 (``brute_minimax``), never assumed.
@@ -51,7 +61,7 @@ from .matcore import MAX_EIG_DIM, as_matrix, as_vector, operator_norm, symmetric
 #: closed forms; prevents catastrophic ratios at numerically-zero support.
 SUPPORT_TOL = 1e-12
 
-# Feasibility slack for the bisection, in units of the tested matrix's
+# Feasibility slack for the search, in units of the tested matrix's
 # scale.  The decision recomputes the margin at the LP's vertex with one
 # fresh matvec, so the only noise to absorb is matvec cancellation (and
 # conjugation round-off in B = U^T A U); structural-zero rows evaluate
@@ -59,10 +69,10 @@ SUPPORT_TOL = 1e-12
 # on instances whose infeasibility margin decays quadratically.
 _FEAS_TOL = 256.0 * np.finfo(float).eps
 
-_MAX_BISECT_STEPS = 200
+_MAX_SEARCH_STEPS = 200
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class QuasiEigenResult:
     """Both quasi-eigenvalues with their certifying cone vectors.
 
@@ -156,141 +166,173 @@ def _bracket(a) -> tuple[float, float]:
     return float(sym[0]) - pad, float(sym[-1]) + pad
 
 
-def _breakdown(what: str, lo: float, hi: float, tol: float) -> NumericalBreakdown:
-    """A ``NumericalBreakdown`` naming the bracket at which the bisection
-    stopped."""
+def _breakdown(what: str, lo: float, hi: float, tol: float, reflected: bool) -> NumericalBreakdown:
+    """A ``NumericalBreakdown`` naming the bracket at which the search
+    stopped, in the coordinates of the value being solved for (a
+    reflected search reports its bracket negated and swapped back)."""
+    if reflected:
+        lo, hi = -hi, -lo
     return NumericalBreakdown(
         f"{what}: bracket [{lo:.17g}, {hi:.17g}], width {hi - lo:.3g}, tol {tol:.3g}"
     )
 
 
-def _vertex_if_feasible(g: np.ndarray, best: bool = False) -> np.ndarray | None:
-    """A simplex point with (recomputed) margin ``min(G x) >= -slack``,
-    or None.  Unless ``best`` is set, a single-coordinate vertex that
-    already clears the slack is returned without running the LP (the
-    optimum can only be better, so the accept/reject decision is
-    unchanged); ``best`` forces the max-margin optimizer."""
+def _feasibility_test(b: np.ndarray, t: float, best: bool = False):
+    """Decide whether ``(B - t I) w >= 0`` has a simplex point, and bound
+    the upper value of ``B`` from the side the answer certifies.
+
+    Returns ``(w, bound, eps)``.  Feasible: ``w`` has recomputed margin
+    ``min((B - t I) w) >= -slack``, and ``bound`` is its ratio
+    ``min (B w)_i / w_i`` over the support, a lower bound on the value
+    (``-inf`` when a zero coordinate meets a negative row).  Infeasible:
+    ``w`` is None and ``bound`` is the dual cut
+    ``t + (max(G^T y) + slack sum(y)) / max(y)`` with ``G = B - t I`` and
+    ``y`` the LP dual, an upper bound on every ``s`` this test accepts:
+    a simplex ``w`` with ``min((B - s I) w) >= -slack`` has
+    ``-slack sum(y) <= y^T (B - s I) w <= max(G^T y) + (t - s) max(y)``.
+    Without the slack term, rounding in ``G^T y`` could cut below
+    accepted points once it exceeds ``tol`` (large ``||A||``).  Each bound
+    is recomputed with one fresh matvec.  ``eps`` is the recomputed margin
+    when an LP ran, else None.
+
+    Unless ``best`` is set, a single-coordinate vertex that already clears
+    the slack is returned without running the LP (the optimum can only be
+    better, so the decision is unchanged); ``best`` forces the max-margin
+    optimizer.
+    """
+    g = b - t * np.eye(b.shape[0])
     slack = _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
     if not best:
         col_margins = g.min(axis=0)
         j = int(np.argmax(col_margins))
         if col_margins[j] >= -slack:
-            e = np.zeros(g.shape[1])
-            e[j] = 1.0
-            return e
+            w = np.zeros(g.shape[1])
+            w[j] = 1.0
+            return w, float(b[j, j]), None
     sol = solve_max_eps(g)
-    margin = float((g @ sol.x_star).min())
-    return sol.x_star if margin >= -slack else None
+    w = sol.x_star
+    gw = g @ w
+    eps = float(gw.min())
+    if eps >= -slack:
+        sup = w > SUPPORT_TOL
+        if np.any(gw[~sup] < -slack):
+            return w, -math.inf, eps
+        return w, t + float((gw[sup] / w[sup]).min()), eps
+    y = sol.y_star
+    return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max()), eps
 
 
-def _feasible_upper(b: np.ndarray, t: float, best: bool = False) -> np.ndarray | None:
-    return _vertex_if_feasible(b - t * np.eye(b.shape[0]), best)
+def _upper_search(a: np.ndarray, b: np.ndarray, tol: float, reflected: bool = False):
+    """The upper value of ``b`` (``a`` in the cone's axes) to ``tol / 2``,
+    with the last feasible simplex point.
 
-
-def _feasible_lower(bt: np.ndarray, t: float, best: bool = False) -> np.ndarray | None:
-    return _vertex_if_feasible(t * np.eye(bt.shape[0]) - bt, best)
-
-
-def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """The upper quasi-eigenvalue and a right quasi-eigenvector.
-
-    Returns ``(value, u)`` with the value within ``tol`` of the true
-    supremum and ``u`` (unit coordinate sum in cone axes) certifying it:
-    ``inner_inf(a, cone, u) >= value - 2 * tol``.
-
-    Caveat: on degenerate instances whose infeasibility margin decays
-    quadratically past the optimum (nilpotent-type reducible structure,
-    e.g. a single Jordan block of 0), the value can overshoot by up to
-    about sqrt of the feasibility slack, ~2e-7; the returned vector still
-    certifies the true value from below.  Generic and irreducible inputs
-    approach linearly and meet the stated tolerance.
+    A certified-cut search on the bracket ``[lo, hi]``: a feasible test
+    lifts ``lo`` to the ratio of its ``w`` and an infeasible one lowers
+    ``hi`` to its dual cut, each clamped to the other end.  The next ``t``
+    is the secant root of ``eps*(t)`` through the last two LP-solved
+    tests when that root lies at least ``tol / 4`` inside the bracket and
+    the previous step at least halved it (safeguarded as in Crouzeix,
+    Ferland and Schaible 1985); otherwise the midpoint.  The search stops
+    at width ``tol / 2``, not ``tol``: an upper and a (reflected) lower
+    value that coincide then come out at most ``tol`` apart, within the
+    margin of ``bounds_check``.  ``reflected`` only names the bracket of
+    an error in the lower value's coordinates.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a = as_matrix(a)
-    if a.shape[0] > MAX_EIG_DIM:
-        raise UnsupportedDimension(f"restricted to n <= {MAX_EIG_DIM}")
-    b = _local_problem(a, cone)
     lo, hi = _bracket(a)
-    w = _feasible_upper(b, lo)
+    w, lift, _ = _feasibility_test(b, lo)
     for _ in range(3):
         if w is not None:
             break
         lo -= 4.0 * (hi - lo)
-        w = _feasible_upper(b, lo)
+        w, lift, _ = _feasibility_test(b, lo)
     if w is None:
-        raise _breakdown("no feasible lower bracket for the upper value", lo, hi, tol)
+        raise _breakdown(
+            f"no feasible {'upper' if reflected else 'lower'} bracket for the "
+            f"{'lower' if reflected else 'upper'} value", lo, hi, tol, reflected,
+        )
+    older = last = None  # (t, eps) of the last two LP-solved tests
     for _ in range(3):
-        if _feasible_upper(b, hi) is None:
+        wh, cut, eps = _feasibility_test(b, hi)
+        if wh is None:
+            last = (hi, eps)
+            hi = max(lo, min(hi, cut))
             break
         hi += 4.0 * (hi - lo)
+    lo = max(lo, min(lift, hi))
     steps = 0
-    while hi - lo > tol:
+    halved = True
+    while hi - lo > 0.5 * tol:
         steps += 1
-        if steps > _MAX_BISECT_STEPS:
+        if steps > _MAX_SEARCH_STEPS:
             raise _breakdown(
-                f"bisection exceeded its step budget of {_MAX_BISECT_STEPS} steps", lo, hi, tol
+                f"search exceeded its step budget of {_MAX_SEARCH_STEPS} steps",
+                lo, hi, tol, reflected,
             )
-        mid = 0.5 * (lo + hi)
-        wm = _feasible_upper(b, mid)
-        if wm is not None:
-            lo, w = mid, wm
+        width = hi - lo
+        t = 0.5 * (lo + hi)
+        if halved and older is not None and last[1] != older[1]:
+            root = last[0] - last[1] * (last[0] - older[0]) / (last[1] - older[1])
+            if lo + 0.25 * tol <= root <= hi - 0.25 * tol:
+                t = root
+        wt, bound, eps = _feasibility_test(b, t)
+        if wt is not None:
+            lo, w = max(t, min(bound, hi)), wt
         else:
-            hi = mid
+            hi = max(lo, min(t, bound))
+        if eps is not None:
+            older, last = last, (t, eps)
+        halved = hi - lo <= 0.5 * width
     # Re-solve strictly inside the certified bracket: at t = lo the LP can
     # be exactly degenerate and return an arbitrary vertex of the optimal
     # face, while just below it the max-margin objective selects the most
     # interior optimizer (so interior quasi-eigenvectors are found when
     # they exist).
-    wc = _feasible_upper(b, lo - 0.5 * tol, best=True)
-    if wc is not None:
-        w = wc
-    return lo, cone.from_local(w)
+    wc, _, _ = _feasibility_test(b, lo - 0.5 * tol, best=True)
+    return lo, (w if wc is None else wc)
 
 
-def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """The lower quasi-eigenvalue and a unit-norm left quasi-eigenvector.
-
-    Mirrors ``upper_quasi_eigenvalue``: downward bisection on the
-    feasibility of ``(B^T - t I) z <= 0`` over the simplex.
-    """
+def _solver_input(a, tol: float) -> np.ndarray:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     a = as_matrix(a)
     if a.shape[0] > MAX_EIG_DIM:
         raise UnsupportedDimension(f"restricted to n <= {MAX_EIG_DIM}")
-    bt = _local_problem(a, cone).T
-    lo, hi = _bracket(a)
-    z = _feasible_lower(bt, hi)
-    for _ in range(3):
-        if z is not None:
-            break
-        hi += 4.0 * (hi - lo)
-        z = _feasible_lower(bt, hi)
-    if z is None:
-        raise _breakdown("no feasible upper bracket for the lower value", lo, hi, tol)
-    for _ in range(3):
-        if _feasible_lower(bt, lo) is None:
-            break
-        lo -= 4.0 * (hi - lo)
-    steps = 0
-    while hi - lo > tol:
-        steps += 1
-        if steps > _MAX_BISECT_STEPS:
-            raise _breakdown(
-                f"bisection exceeded its step budget of {_MAX_BISECT_STEPS} steps", lo, hi, tol
-            )
-        mid = 0.5 * (lo + hi)
-        zm = _feasible_lower(bt, mid)
-        if zm is not None:
-            hi, z = mid, zm
-        else:
-            lo = mid
-    zc = _feasible_lower(bt, hi + 0.5 * tol, best=True)  # see upper: avoid the degenerate face
-    if zc is not None:
-        z = zc
+    return a
+
+
+def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """The upper quasi-eigenvalue and a right quasi-eigenvector.
+
+    Returns ``(value, u)``.  The value is the lower end of a bracket of
+    width at most ``tol / 2`` around the true supremum: a Collatz-Wielandt
+    ratio of a feasible simplex point below, an LP-dual cut above.  ``u``
+    (unit coordinate sum in cone axes) certifies it:
+    ``inner_inf(a, cone, u) >= value - 2 * tol``.
+
+    Caveat: on degenerate instances whose infeasibility margin decays
+    quadratically past the optimum (nilpotent-type reducible structure,
+    e.g. a single Jordan block of 0), a feasibility test can accept a
+    ``t`` above the value by up to about sqrt of the feasibility slack,
+    ~2e-7; the returned vector still certifies the true value from below.
+    Generic and irreducible inputs approach linearly and meet the stated
+    tolerance.
+    """
+    a = _solver_input(a, tol)
+    value, w = _upper_search(a, _local_problem(a, cone), tol)
+    return value, cone.from_local(w)
+
+
+def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """The lower quasi-eigenvalue and a unit-norm left quasi-eigenvector.
+
+    Solved by reflection, ``lower_C(A) = -upper_C(-A^T)``: in the cone's
+    axes the upper search on ``-B^T`` tests ``(B^T - t I) z <= 0`` at
+    ``-t``, so its value and vector are the lower ones.
+    """
+    a = _solver_input(a, tol)
+    value, z = _upper_search(-a.T, -_local_problem(a, cone).T, tol, reflected=True)
     v = cone.from_local(z)
-    return hi, v / np.linalg.norm(v)
+    return 0.0 - value, v / np.linalg.norm(v)  # 0.0 - x: no -0.0
 
 
 def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:

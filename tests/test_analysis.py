@@ -153,6 +153,27 @@ def test_bounds_check_examples():
         assert bounds_check(a, cone).holds
 
 
+def test_bounds_check_holds_where_the_two_values_coincide():
+    # Each value is the lower end of a bracket narrowed to tol/2 around the
+    # truth, so a coinciding upper and lower value differ by at most tol,
+    # the margin the sandwich allows for upper - lower.  A search stopping
+    # at width tol could leave them 2 tol apart.
+    rng = np.random.default_rng(22)
+    coinciding = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        a = rng.uniform(-1, 1, (n, n))
+        cone = Cone.orthant(n)
+        r = quasi_pair(a, cone)
+        if abs(r.lambda_upper - r.lambda_lower) > r.tol:
+            continue
+        coinciding += 1
+        rep = bounds_check(a, cone, pair=r)
+        assert rep.holds, rep.details
+        assert r.lambda_upper - r.lambda_lower >= -r.tol
+    assert coinciding >= 30
+
+
 def test_normal_canonical_form_examples():
     form = normal_canonical_form([[0.0, -1.0], [1.0, 0.0]])
     assert form.l == 1 and form.real_eigs == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasieig import LpSolution, MaxEpsProblem, NonFinite, solve_max_eps
+from quasieig import LpSolution, NonFinite, solve_max_eps
 from helpers import random_matrix
 
 
@@ -34,7 +34,6 @@ def test_grid_oracle_sanity():
 
 def test_examples_against_frozen_oracle_values():
     sol = solve_max_eps(np.array([[0.5, 0.0], [0.0, -0.5]]))
-    assert sol.status == "optimal"
     assert sol.eps_star == pytest.approx(0.0, abs=1e-10)
     assert sol.x_star == pytest.approx([1.0, 0.0], abs=1e-10)
 
@@ -51,7 +50,7 @@ def test_examples_against_frozen_oracle_values():
 
 
 def test_accepts_problem_wrapper():
-    sol = solve_max_eps(MaxEpsProblem(g=np.eye(2)))
+    sol = solve_max_eps(np.eye(2))
     assert isinstance(sol, LpSolution)
     assert sol.eps_star == pytest.approx(0.5, abs=1e-10)
 
@@ -68,7 +67,6 @@ def test_solution_invariants_random():
         k = int(rng.integers(1, 8))
         g = rng.uniform(-2, 2, (m, k))
         sol = solve_max_eps(g)
-        assert sol.status == "optimal"
         assert (sol.x_star >= -1e-12).all()
         assert abs(sol.x_star.sum() - 1.0) <= 1e-10
         assert (g @ sol.x_star).min() >= sol.eps_star - 1e-9
@@ -117,3 +115,32 @@ def test_bland_vertex_is_deterministic():
     b = solve_max_eps(g.copy())
     assert np.array_equal(a.x_star, b.x_star)
     assert a.eps_star == b.eps_star
+
+
+def test_dual_certifies_eps_star():
+    # y_star is a dual optimum: y >= 0, sum(y) = 1, max(G^T y) = eps_star.
+    # HiGHS solves the primal independently as a test-only oracle.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        k = int(rng.integers(1, 9))
+        g = rng.uniform(-2, 2, (m, k))
+        sol = solve_max_eps(g)
+        y = sol.y_star
+        assert y.shape == (m,)
+        assert (y >= 0.0).all()
+        assert abs(y.sum() - 1.0) <= 1e-9
+        assert abs(float((g.T @ y).max()) - sol.eps_star) <= 1e-9
+        # variables (x, eps): maximize eps s.t. eps - G x <= 0, sum(x) = 1
+        ref = linprog(
+            np.r_[np.zeros(k), -1.0],
+            A_ub=np.hstack([-g, np.ones((m, 1))]),
+            b_ub=np.zeros(m),
+            A_eq=np.r_[np.ones(k), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * k + [(None, None)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert abs(-ref.fun - sol.eps_star) <= 1e-9

@@ -24,7 +24,7 @@ from quasieig import (
     symmetric_part_eigs,
     upper_quasi_eigenvalue,
 )
-from helpers import random_cone, random_irreducible_nonneg, random_matrix
+from helpers import random_cone, random_irreducible_nonneg, random_isc, random_matrix
 
 EX1 = np.diag([2.0, 1.0])
 EX2 = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -301,3 +301,45 @@ def test_large_scale_breakdown_names_bracket_and_steps():
     rho = max(abs(lam) for lam, _ in eig_oracle(a))  # the upper value (Perron root)
     assert 1e-9 < hi - lo <= 1e-8
     assert lo - 1e-8 * rho <= rho <= hi + 1e-8 * rho
+
+
+def test_lp_solves_per_value(monkeypatch):
+    # Every LP narrows the bracket from the side it certifies (the ratio of
+    # a feasible point, the dual cut of an infeasible one), so a value
+    # takes far fewer LPs than the ~34 of plain bisection to tol 1e-9.
+    import quasieig.quasi as quasi_module
+
+    solves = []
+    solve = quasi_module.solve_max_eps
+
+    def counting(g):
+        solves.append(1)
+        return solve(g)
+
+    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    rng = np.random.default_rng(23)
+    cases = [(EX1, ORTHANT2), (EX2, ORTHANT2), (ISC, ORTHANT2)]
+    for k in range(24):
+        n = int(rng.integers(3, 9))
+        a = random_matrix(rng, n) if k % 3 == 0 else random_isc(rng, n, 1 if k % 3 == 1 else -1)
+        cases.append((a, Cone.orthant(n) if k % 2 == 0 else random_cone(rng, n)))
+    for a, cone in cases:
+        quasi_pair(a, cone)
+    assert len(solves) / (2 * len(cases)) <= 20.0
+
+
+def test_isc_values_within_half_tol_of_the_eigenvalue():
+    # For an ISC matrix over the orthant both values equal the eigenvalue
+    # with positive eigenvectors: the largest real part for ISC+, the
+    # smallest for ISC-.  Each value is the lower end of a bracket of width
+    # at most tol/2 that holds it.
+    rng = np.random.default_rng(24)
+    for k in range(30):
+        n = int(rng.integers(2, 9))
+        sign = 1 if k % 2 else -1
+        a = random_isc(rng, n, sign)
+        parts = [lam.real for lam, _ in eig_oracle(a)]
+        target = max(parts) if sign > 0 else min(parts)
+        r = quasi_pair(a, Cone.orthant(n))
+        assert abs(r.lambda_upper - target) <= 0.5 * r.tol, (k, r.lambda_upper - target)
+        assert abs(r.lambda_lower - target) <= 0.5 * r.tol, (k, r.lambda_lower - target)
