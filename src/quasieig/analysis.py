@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, cone_metric, givens_rotation, span_meets_interior
-from .errors import ConvergenceFailure, NotInterior, NotNormal, NotOrthogonal
+from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal, NotOrthogonal
 from .matcore import (
     as_matrix,
     classify,
@@ -85,6 +85,18 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _not_applicable(name: str, why: str) -> TheoremReport:
+    return TheoremReport(
+        name=name,
+        holds=False,
+        lhs=math.nan,
+        rhs=math.nan,
+        slack=math.nan,
+        details=f"not applicable: {why}",
+        applicable=False,
+    )
+
+
 # name -> (classify flag that makes it applicable, why not otherwise,
 # spectral functional, its label in ``details``, what an equality matches)
 _ORTHANT_IDENTITIES = {
@@ -107,15 +119,7 @@ def _orthant_identity_check(
     flag, why_not, functional, label, match = _ORTHANT_IDENTITIES[name]
     a = as_matrix(a)
     if not getattr(classify(a), flag):
-        return TheoremReport(
-            name=name,
-            holds=False,
-            lhs=math.nan,
-            rhs=math.nan,
-            slack=math.nan,
-            details=f"not applicable: {why_not}",
-            applicable=False,
-        )
+        return _not_applicable(name, why_not)
     if pair is None:
         lam, _ = upper_quasi_eigenvalue(a, Cone.orthant(a.shape[0]), tol)
     else:
@@ -156,10 +160,11 @@ def max_re_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> 
     return _orthant_identity_check("max_real_part", a, tol, pair)
 
 
-def _eig_is_simple(a, lam: float, cluster_gap: float = 1e-6) -> bool:
+def _eig_is_simple(a, lam: float) -> bool:
+    """No other eigenvalue lies within 1e-6 of the one nearest ``lam``."""
     vals = np.array([val for val, _ in eig_oracle(a)])
     nearest = vals[np.argmin(np.abs(vals - lam))]
-    return int(np.sum(np.abs(vals - nearest) <= cluster_gap)) == 1
+    return int(np.sum(np.abs(vals - nearest) <= 1e-6)) == 1
 
 
 def isc_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
@@ -170,15 +175,7 @@ def isc_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> The
     ``pair``, when given, must be ``quasi_pair(a, Cone.orthant(n), tol)``."""
     a = as_matrix(a)
     if not classify(a).isc:
-        return TheoremReport(
-            name="isc_saddle",
-            holds=False,
-            lhs=math.nan,
-            rhs=math.nan,
-            slack=math.nan,
-            details="not applicable: matrix is not irreducible sign-constant",
-            applicable=False,
-        )
+        return _not_applicable("isc_saddle", "matrix is not irreducible sign-constant")
     if pair is None:
         pair = quasi_pair(a, Cone.orthant(a.shape[0]), tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
@@ -249,32 +246,21 @@ def _cone_sign(cone: Cone, d: np.ndarray) -> str:
 
 
 def perturbation_bound_check(
-    a,
-    cone: Cone,
-    d,
-    tol: float = 1e-9,
-    pair: QuasiEigenResult | None = None,
-    bound: PerturbationBound | None = None,
+    a, cone: Cone, d, tol: float = 1e-9, pair: QuasiEigenResult | None = None
 ) -> TheoremReport:
     """Evaluate every perturbation inequality whose interiority gate is
     met: the one-sided Lipschitz bounds, the monotone one-signed cases,
-    and the two-sided stability bound when both vectors are interior."""
+    and the two-sided stability bound when both vectors are interior.
+    Raises ``DimensionMismatch`` when ``d`` is not the shape of ``a``."""
     a = as_matrix(a)
     d = as_matrix(d)
+    if d.shape != a.shape:
+        raise DimensionMismatch("perturbation and matrix dimensions differ")
     if pair is None:
         pair = quasi_pair(a, cone, tol)
     if not (pair.u_interior or pair.v_interior):
-        return TheoremReport(
-            name="perturbation_bounds",
-            holds=False,
-            lhs=math.nan,
-            rhs=math.nan,
-            slack=math.nan,
-            details="not applicable: both quasi-eigenvectors on the boundary",
-            applicable=False,
-        )
-    if bound is None:
-        bound = perturbation_constants(a, cone, tol, pair=pair)
+        return _not_applicable("perturbation_bounds", "both quasi-eigenvectors on the boundary")
+    bound = perturbation_constants(a, cone, tol, pair=pair)
     moved = quasi_pair(a + d, cone, tol)
     dnorm = operator_norm(d)
     sign = _cone_sign(cone, d)

@@ -2,7 +2,7 @@
 deterministic JSON reports.
 
 Exit codes: 0 success, 1 usage or parse error, 2 inapplicable check,
-3 numerical failure.
+3 numerical failure or falsified check.
 """
 
 import argparse
@@ -18,29 +18,14 @@ from . import analysis
 from .cones import Cone, random_orthogonal
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     NonFinite,
-    NonSquare,
-    NotInterior,
-    NotOrthogonal,
+    NotNormal,
     NumericalBreakdown,
     ParseError,
     QuasiEigError,
 )
 from .matcore import as_matrix, classify, operator_norm
 from .quasi import brute_minimax, quasi_pair
-
-_SUBCOMMANDS = (
-    "quasi",
-    "classify",
-    "perron",
-    "maxre",
-    "perturb",
-    "normal",
-    "invariance",
-    "oracle",
-    "verify",
-)
 
 
 @dataclass(frozen=True)
@@ -55,7 +40,7 @@ class RunConfig:
     perturbation_path: str | None = None
 
     def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
+        if self.subcommand not in _COMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if not 0.0 < self.tol <= 1e-2:
             raise ValueError("tol must lie in (0, 1e-2]")
@@ -190,39 +175,45 @@ def _digest(m: np.ndarray) -> str:
     return hashlib.sha256(emit_matrix(m).encode()).hexdigest()
 
 
-def _report_dict(r: analysis.TheoremReport) -> dict:
-    return asdict(r)
+# Exit code of an error a run raises; the first matching row wins.
+_ERROR_EXITS = (
+    (NotNormal, 2),
+    ((NumericalBreakdown, ConvergenceFailure), 3),
+    ((QuasiEigError, OSError), 1),
+)
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch a config; returns (exit code, report object)."""
+    """Dispatch a config; returns (exit code, report object).
+
+    Exit 2 when the subcommand produced theorem reports and none applies;
+    otherwise 0 when every applicable report holds, else 3.  Errors map
+    through ``_ERROR_EXITS``."""
+    report: dict = {}
     try:
         m = parse_matrix_file(config.matrix_path)
         cone = _resolve_cone(config.cone_spec, m.shape[0])
-    except (ParseError, NonSquare, NonFinite, NotOrthogonal, DimensionMismatch, OSError) as exc:
-        return 1, {"error": str(exc)}
-
-    report: dict = {
-        "subcommand": config.subcommand,
-        "input_digest": _digest(m),
-        "lambda_upper": None,
-        "lambda_lower": None,
-        "u_right": None,
-        "v_left": None,
-        "flags": {},
-        "theorem_reports": [],
-        "tol": config.tol,
-        "seed": config.seed,
-    }
-    try:
-        code = _dispatch(config, m, cone, report)
-    except (NumericalBreakdown, ConvergenceFailure) as exc:
+        report.update(
+            subcommand=config.subcommand,
+            input_digest=_digest(m),
+            lambda_upper=None,
+            lambda_lower=None,
+            u_right=None,
+            v_left=None,
+            flags={},
+            theorem_reports=[],
+            tol=config.tol,
+            seed=config.seed,
+        )
+        reps = _COMMANDS[config.subcommand](config, m, cone, report)
+    except (QuasiEigError, OSError) as exc:
         report["error"] = str(exc)
-        return 3, report
-    except QuasiEigError as exc:
-        report["error"] = str(exc)
-        return 1, report
-    return code, report
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), report
+    report["theorem_reports"] = [asdict(r) for r in reps]
+    applicable = [r for r in reps if r.applicable]
+    if reps and not applicable:
+        return 2, report
+    return (0 if all(r.holds for r in applicable) else 3), report
 
 
 def _fill_quasi(report: dict, pair) -> None:
@@ -241,76 +232,54 @@ def _fill_quasi(report: dict, pair) -> None:
     )
 
 
-def _dispatch(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> int:
-    sub = config.subcommand
-    tol = config.tol
-
-    if sub == "quasi":
-        _fill_quasi(report, quasi_pair(m, cone, tol))
-        return 0
-
-    if sub == "classify":
-        report["flags"].update(asdict(classify(m)))
-        return 0
-
-    if sub == "perron":
-        rep = analysis.perron_check(m, tol)
-        report["theorem_reports"].append(_report_dict(rep))
-        return 0 if rep.applicable and rep.holds else (2 if not rep.applicable else 3)
-
-    if sub == "maxre":
-        rep = analysis.max_re_check(m, tol)
-        report["theorem_reports"].append(_report_dict(rep))
-        return 0 if rep.applicable and rep.holds else (2 if not rep.applicable else 3)
-
-    if sub == "perturb":
-        if config.perturbation_path is None:
-            report["error"] = "perturb requires --perturbation"
-            return 1
-        d = parse_matrix_file(config.perturbation_path)
-        pair = quasi_pair(m, cone, tol)
-        _fill_quasi(report, pair)
-        try:
-            rep = analysis.perturbation_bound_check(m, cone, d, tol, pair=pair)
-        except NotInterior as exc:
-            report["error"] = str(exc)
-            return 2
-        report["theorem_reports"].append(_report_dict(rep))
-        return 0 if rep.applicable and rep.holds else (2 if not rep.applicable else 3)
-
-    if sub == "normal":
-        if not classify(m).normal:
-            report["error"] = "matrix is not normal"
-            return 2
-        form = analysis.normal_canonical_form(m)
-        report["flags"]["rotation_blocks"] = [list(b) for b in form.rotation_blocks]
-        report["flags"]["real_eigs"] = list(form.real_eigs)
-        rep = analysis.theorem4_classify(m, cone, tol)
-        report["theorem_reports"].append(_report_dict(rep))
-        return 0 if rep.holds else 3
-
-    if sub == "invariance":
-        u = random_orthogonal(m.shape[0], config.seed)
-        rep = analysis.invariance_check(m, cone, u, tol)
-        report["theorem_reports"].append(_report_dict(rep))
-        return 0 if rep.holds else 3
-
-    if sub == "oracle":
-        sup_inf, inf_sup = brute_minimax(m, cone, config.grid_k)
-        report["lambda_upper"] = sup_inf
-        report["flags"]["sup_inf"] = sup_inf
-        report["flags"]["inf_sup"] = inf_sup
-        return 0
-
-    if sub == "verify":
-        return _verify(config, m, cone, report)
-
-    raise ValueError(f"unknown subcommand {sub!r}")
+# Each runner takes (config, m, cone, report), fills the report's values
+# and flags, and returns its theorem reports.  Runners look library
+# functions up when called, so a wrapper installed on the module sees them.
 
 
-def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> int:
-    """Run every applicable checker for one matrix; success iff all
-    applicable reports hold.
+def _quasi(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    _fill_quasi(report, quasi_pair(m, cone, config.tol))
+    return []
+
+
+def _classify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    report["flags"].update(asdict(classify(m)))
+    return []
+
+
+def _perturb(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    if config.perturbation_path is None:
+        raise ParseError("perturb requires --perturbation")
+    d = parse_matrix_file(config.perturbation_path)
+    pair = quasi_pair(m, cone, config.tol)
+    _fill_quasi(report, pair)
+    return [analysis.perturbation_bound_check(m, cone, d, config.tol, pair=pair)]
+
+
+def _normal(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    if not classify(m).normal:
+        raise NotNormal("matrix is not normal")
+    form = analysis.normal_canonical_form(m)
+    report["flags"]["rotation_blocks"] = [list(b) for b in form.rotation_blocks]
+    report["flags"]["real_eigs"] = list(form.real_eigs)
+    return [analysis.theorem4_classify(m, cone, config.tol)]
+
+
+def _invariance(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    u = random_orthogonal(m.shape[0], config.seed)
+    return [analysis.invariance_check(m, cone, u, config.tol)]
+
+
+def _oracle(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    sup_inf, inf_sup = brute_minimax(m, cone, config.grid_k)
+    report["lambda_upper"] = sup_inf
+    report["flags"]["sup_inf"] = sup_inf
+    report["flags"]["inf_sup"] = inf_sup
+    return []
+
+
+def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
+    """Run every checker for one matrix.
 
     The base pair is solved once and shared by every checker over
     ``cone``.  The three orthant-only checkers share it when ``cone`` is
@@ -346,9 +315,20 @@ def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> int:
         d = rng.standard_normal(m.shape)
         d *= 0.05 * max(operator_norm(m), 1.0) / max(operator_norm(d), 1e-30)
         reps.append(analysis.perturbation_bound_check(m, cone, d, tol, pair=pair))
-    report["theorem_reports"] = [_report_dict(r) for r in reps]
-    ok = all(r.holds for r in reps if r.applicable)
-    return 0 if ok else 3
+    return reps
+
+
+_COMMANDS = {
+    "quasi": _quasi,
+    "classify": _classify,
+    "perron": lambda config, m, cone, report: [analysis.perron_check(m, config.tol)],
+    "maxre": lambda config, m, cone, report: [analysis.max_re_check(m, config.tol)],
+    "perturb": _perturb,
+    "normal": _normal,
+    "invariance": _invariance,
+    "oracle": _oracle,
+    "verify": _verify,
+}
 
 
 def _print_human(report: dict, code: int) -> None:
@@ -378,7 +358,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="quasieig", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--matrix", required=True, help="matrix file (JSON or text)")
         sp.add_argument(

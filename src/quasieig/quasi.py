@@ -122,42 +122,34 @@ def _require_in_cone(cone: Cone, x, what: str) -> np.ndarray:
     return x
 
 
-def inner_inf(a, cone: Cone, u, support_tol: float = SUPPORT_TOL) -> float:
-    """``inf over interior v`` of the quotient at fixed cone vector ``u``.
-
-    Closed form: with ``w = U^T u`` and ``B = U^T A U``, the value is
-    ``-inf`` when some coordinate with ``w_j <= support_tol`` has
-    ``(B w)_j < -support_tol``, else the smallest ``(B w)_i / w_i`` over
-    the support.
-    """
-    u = _require_in_cone(cone, u, "u")
-    b = _local_problem(a, cone)
-    w = cone.to_local(u)
-    bw = b @ w
-    small = w <= support_tol
+def _closed_inf(b: np.ndarray, w: np.ndarray, what: str) -> float:
+    """The inner infimum's closed form in the cone's axes: ``-inf`` when
+    some coordinate with ``w_j <= SUPPORT_TOL`` has ``(B w)_j <
+    -SUPPORT_TOL``, else the smallest ``(B w)_i / w_i`` over the support."""
+    small = w <= SUPPORT_TOL
     if small.all():
-        raise NotInCone("u is numerically zero")
-    if np.any(bw[small] < -support_tol):
+        raise NotInCone(f"{what} is numerically zero")
+    bw = b @ w
+    if np.any(bw[small] < -SUPPORT_TOL):
         return -math.inf
     sup = ~small
     return float((bw[sup] / w[sup]).min())
 
 
-def inner_sup(a, cone: Cone, v, support_tol: float = SUPPORT_TOL) -> float:
-    """Mirror of ``inner_inf``: ``sup over interior u`` at fixed ``v``,
-    using ``B^T``; ``+inf`` when a zero coordinate of ``z`` meets a
-    positive coordinate of ``B^T z``."""
+def inner_inf(a, cone: Cone, u) -> float:
+    """``inf over interior v`` of the quotient at fixed cone vector ``u``,
+    in closed form on ``w = U^T u`` and ``B = U^T A U``."""
+    u = _require_in_cone(cone, u, "u")
+    return _closed_inf(_local_problem(a, cone), cone.to_local(u), "u")
+
+
+def inner_sup(a, cone: Cone, v) -> float:
+    """``sup over interior u`` of the quotient at fixed cone vector ``v``,
+    by reflection: ``-inner_inf`` of ``-A^T`` at ``v``.  ``+inf`` when a
+    zero coordinate of ``z = U^T v`` meets a positive coordinate of
+    ``B^T z``."""
     v = _require_in_cone(cone, v, "v")
-    b = _local_problem(a, cone)
-    z = cone.to_local(v)
-    btz = b.T @ z
-    small = z <= support_tol
-    if small.all():
-        raise NotInCone("v is numerically zero")
-    if np.any(btz[small] > support_tol):
-        return math.inf
-    sup = ~small
-    return float((btz[sup] / z[sup]).max())
+    return 0.0 - _closed_inf(-_local_problem(a, cone).T, cone.to_local(v), "v")
 
 
 def _bracket(a) -> tuple[float, float]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quasieig import NonFinite, ParseError
+from quasieig import Cone, DimensionMismatch, NonFinite, ParseError, perturbation_bound_check
 from quasieig.cli import RunConfig, emit_json, emit_matrix, main, parse_matrix_file, run
 
 
@@ -230,3 +230,41 @@ def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
         assert code == 0
         assert len(solves) == expected, (spec, solves)
         assert len(classifies) == 1
+
+
+_EXIT_CASES = {
+    "example1": ("[[2, 0], [0, 1]]", {"perturb": 2}),
+    "example2": ("[[1, -1], [1, 1]]", {"perron": 2, "maxre": 2, "perturb": 2}),
+    "isc": ("[[0, 2], [3, 0]]", {"normal": 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "sub", ["quasi", "classify", "perron", "maxre", "perturb", "normal", "invariance",
+            "oracle", "verify"]
+)
+@pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+def test_exit_code_of_every_subcommand(tmp_path, case, sub):
+    rows, nonzero = _EXIT_CASES[case]
+    p = tmp_path / "a.json"
+    p.write_text(f'{{"n": 2, "rows": {rows}}}')
+    d = tmp_path / "d.json"
+    d.write_text('{"n": 2, "rows": [[0.01, 0.01], [0.01, 0.01]]}')
+    code, rep = run(RunConfig(subcommand=sub, matrix_path=str(p), perturbation_path=str(d)))
+    assert code == nonzero.get(sub, 0)
+    assert rep.get("error") == ("matrix is not normal" if (case, sub) == ("isc", "normal") else None)
+
+
+def test_perturbation_file_errors_exit_1(tmp_path):
+    base = tmp_path / "isc.json"
+    base.write_text('{"n": 2, "rows": [[0, 2], [3, 0]]}')
+    d3 = tmp_path / "d3.json"
+    d3.write_text('{"n": 3, "rows": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+    for d in (tmp_path / "missing.json", d3):
+        code, rep = run(
+            RunConfig(subcommand="perturb", matrix_path=str(base), perturbation_path=str(d))
+        )
+        assert code == 1 and "error" in rep
+    a = np.array([[0.0, 2.0], [3.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        perturbation_bound_check(a, Cone.orthant(2), np.zeros((3, 3)))
