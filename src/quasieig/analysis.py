@@ -414,7 +414,7 @@ def normal_canonical_form(a, tol: float = 1e-10) -> NormalCanonicalForm:
     """
     a = as_matrix(a)
     if not classify(a, tol).normal:
-        raise NotNormal("matrix is not normal within tolerance")
+        raise NotNormal("matrix is not normal")
     nrm = operator_norm(a)
     im_tol = 1e-8 * max(1.0, nrm)
     gap = max(1e-7 * nrm, 1e-12)
@@ -490,15 +490,15 @@ def theorem4_classify(
     """
     a = as_matrix(a)
     form = normal_canonical_form(a)
-    subspaces: list[tuple[float, list[np.ndarray], int]] = []
+    subspaces: list[tuple[float, list[np.ndarray]]] = []
     for i, (r, theta) in enumerate(form.rotation_blocks):
         cols = [form.u_a[:, 2 * i], form.u_a[:, 2 * i + 1]]
-        subspaces.append((r * math.cos(theta), cols, 2))
+        subspaces.append((r * math.cos(theta), cols))
     for j, mu in enumerate(form.real_eigs):
-        subspaces.append((mu, [form.u_a[:, 2 * form.l + j]], 1))
+        subspaces.append((mu, [form.u_a[:, 2 * form.l + j]]))
 
-    meets = [span_meets_interior(cone, cols) is not None for _, cols, _ in subspaces]
-    re_parts = [re for re, _, _ in subspaces]
+    meets = [span_meets_interior(cone, cols) is not None for _, cols in subspaces]
+    re_parts = [re for re, _ in subspaces]
     hit = [re for re, m in zip(re_parts, meets) if m]
     consistent = True
     if hit:

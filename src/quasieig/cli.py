@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError("tol must lie in (0, 1e-2]")
         if self.grid_k < 10:
             raise ValueError("grid_k must be at least 10")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def parse_matrix_file(path: str) -> np.ndarray:
@@ -131,10 +133,7 @@ def emit_matrix(m: np.ndarray) -> str:
     """Canonical JSON for a matrix; floats carry 17 significant digits so
     parse(emit(m)) reproduces m bit-exactly."""
     m = as_matrix(m)
-    rows = ",".join(
-        "[" + ",".join(_fmt_float(float(x)) for x in row) + "]" for row in m
-    )
-    return f'{{"n":{m.shape[0]},"rows":[{rows}]}}'
+    return emit_json({"n": m.shape[0], "rows": m})
 
 
 def emit_json(obj) -> str:
@@ -165,6 +164,8 @@ def _resolve_cone(spec: str, n: int) -> Cone:
         try:
             seed = int(spec.split(":", 1)[1])
         except ValueError:
+            seed = -1
+        if seed < 0:
             raise ParseError(f"bad rotation seed in cone spec {spec!r}")
         return Cone.rotated(random_orthogonal(n, seed))
     u = parse_matrix_file(spec)
@@ -257,8 +258,6 @@ def _perturb(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list
 
 
 def _normal(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
-    if not classify(m).normal:
-        raise NotNormal("matrix is not normal")
     form = analysis.normal_canonical_form(m)
     report["flags"]["rotation_blocks"] = [list(b) for b in form.rotation_blocks]
     report["flags"]["real_eigs"] = list(form.real_eigs)

@@ -53,10 +53,6 @@ class Cone:
         return Cone(n=u.shape[0], rotation=u)
 
     @property
-    def kind(self) -> str:
-        return "orthant" if self.rotation is None else "rotated"
-
-    @property
     def basis(self) -> np.ndarray:
         """The orthogonal matrix carrying the orthant onto this cone."""
         return np.eye(self.n) if self.rotation is None else self.rotation
@@ -74,10 +70,9 @@ class ConeMembership:
     in_cone: bool
     in_interior: bool
     min_coordinate: float
-    holds: bool  # in_interior when the query was strict, else in_cone
 
 
-def contains(cone: Cone, x, strict: bool = False, tol: float = 1e-12) -> ConeMembership:
+def contains(cone: Cone, x, tol: float = 1e-12) -> ConeMembership:
     """Membership report for ``x``: cone membership within ``-tol``,
     interiority with margin ``tol``, and the minimum local coordinate."""
     x = as_vector(x)
@@ -86,13 +81,7 @@ def contains(cone: Cone, x, strict: bool = False, tol: float = 1e-12) -> ConeMem
     w = cone.to_local(x)
     mc = float(w.min())
     in_cone = mc >= -tol and float(np.linalg.norm(x)) > 0.0
-    in_interior = mc > tol
-    return ConeMembership(
-        in_cone=in_cone,
-        in_interior=in_interior,
-        min_coordinate=mc,
-        holds=in_interior if strict else in_cone,
-    )
+    return ConeMembership(in_cone=in_cone, in_interior=mc > tol, min_coordinate=mc)
 
 
 def extreme_rays(cone: Cone) -> list[np.ndarray]:

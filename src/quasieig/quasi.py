@@ -175,9 +175,8 @@ def _feasibility_test(b: np.ndarray, t: float, best: bool = False):
 
     Returns ``(w, bound, eps)``.  Feasible: ``w`` has recomputed margin
     ``min((B - t I) w) >= -slack``, and ``bound`` is its ratio
-    ``min (B w)_i / w_i`` over the support, a lower bound on the value
-    (``-inf`` when a zero coordinate meets a negative row).  Infeasible:
-    ``w`` is None and ``bound`` is the dual cut
+    ``min (B w)_i / w_i`` over the support, a lower bound on the value.
+    Infeasible: ``w`` is None and ``bound`` is the dual cut
     ``t + (max(G^T y) + slack sum(y)) / max(y)`` with ``G = B - t I`` and
     ``y`` the LP dual, an upper bound on every ``s`` this test accepts:
     a simplex ``w`` with ``min((B - s I) w) >= -slack`` has
@@ -207,8 +206,6 @@ def _feasibility_test(b: np.ndarray, t: float, best: bool = False):
     eps = float(gw.min())
     if eps >= -slack:
         sup = w > SUPPORT_TOL
-        if np.any(gw[~sup] < -slack):
-            return w, -math.inf, eps
         return w, t + float((gw[sup] / w[sup]).min()), eps
     y = sol.y_star
     return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max()), eps
@@ -218,38 +215,28 @@ def _upper_search(a: np.ndarray, b: np.ndarray, tol: float, reflected: bool = Fa
     """The upper value of ``b`` (``a`` in the cone's axes) to ``tol / 2``,
     with the last feasible simplex point.
 
-    A certified-cut search on the bracket ``[lo, hi]``: a feasible test
-    lifts ``lo`` to the ratio of its ``w`` and an infeasible one lowers
-    ``hi`` to its dual cut, each clamped to the other end.  The next ``t``
-    is the secant root of ``eps*(t)`` through the last two LP-solved
-    tests when that root lies at least ``tol / 4`` inside the bracket and
-    the previous step at least halved it (safeguarded as in Crouzeix,
-    Ferland and Schaible 1985); otherwise the midpoint.  The search stops
-    at width ``tol / 2``, not ``tol``: an upper and a (reflected) lower
-    value that coincide then come out at most ``tol`` apart, within the
-    margin of ``bounds_check``.  ``reflected`` only names the bracket of
-    an error in the lower value's coordinates.
+    A certified-cut search on the bracket ``[lo, hi]``.  It starts from
+    the padded symmetric-part eigenvalues, which bound both values, so the
+    test at ``lo`` must be feasible and the one at ``hi`` infeasible; if
+    either is not, a ``NumericalBreakdown`` names that bracket.  A feasible
+    test lifts ``lo`` to the ratio of its ``w`` and an infeasible one
+    lowers ``hi`` to its dual cut, each clamped to the other end.  The
+    next ``t`` is the secant root of ``eps*(t)`` through the last two
+    LP-solved tests when that root lies at least ``tol / 4`` inside the
+    bracket and the previous step at least halved it (safeguarded as in
+    Crouzeix, Ferland and Schaible 1985); otherwise the midpoint.  The
+    search stops at width ``tol / 2``, not ``tol``: an upper and a
+    (reflected) lower value that coincide then come out at most ``tol``
+    apart, within the margin of ``bounds_check``.  ``reflected`` only
+    names the bracket of an error in the lower value's coordinates.
     """
     lo, hi = _bracket(a)
     w, lift, _ = _feasibility_test(b, lo)
-    for _ in range(3):
-        if w is not None:
-            break
-        lo -= 4.0 * (hi - lo)
-        w, lift, _ = _feasibility_test(b, lo)
-    if w is None:
-        raise _breakdown(
-            f"no feasible {'upper' if reflected else 'lower'} bracket for the "
-            f"{'lower' if reflected else 'upper'} value", lo, hi, tol, reflected,
-        )
-    older = last = None  # (t, eps) of the last two LP-solved tests
-    for _ in range(3):
-        wh, cut, eps = _feasibility_test(b, hi)
-        if wh is None:
-            last = (hi, eps)
-            hi = max(lo, min(hi, cut))
-            break
-        hi += 4.0 * (hi - lo)
+    wh, cut, eps = _feasibility_test(b, hi)
+    if w is None or wh is not None:
+        raise _breakdown("symmetric-part bracket does not hold the value", lo, hi, tol, reflected)
+    older, last = None, (hi, eps)  # (t, eps) of the last two LP-solved tests
+    hi = max(lo, min(hi, cut))
     lo = max(lo, min(lift, hi))
     steps = 0
     halved = True
@@ -337,8 +324,8 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     a = as_matrix(a)
     lam_up, u = upper_quasi_eigenvalue(a, cone, tol)
     lam_lo, v = lower_quasi_eigenvalue(a, cone, tol)
-    u_int = contains(cone, u, strict=True, tol=10.0 * tol).in_interior
-    v_int = contains(cone, v, strict=True, tol=10.0 * tol).in_interior
+    u_int = contains(cone, u, tol=10.0 * tol).in_interior
+    v_int = contains(cone, v, tol=10.0 * tol).in_interior
     saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol
     res_r = float(np.linalg.norm(a @ u - lam_up * u) / np.linalg.norm(u))
     res_l = float(np.linalg.norm(a.T @ v - lam_lo * v) / np.linalg.norm(v))

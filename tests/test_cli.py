@@ -176,6 +176,17 @@ def test_main_exit_codes(tmp_path, ex1, capsys):
     assert main(["quasi", "--matrix", ex1, "--tol", "0.5"]) == 1
 
 
+def test_negative_seed_exits_1(ex1, capsys):
+    for argv in (["quasi", "--cone", "rotation:-1"], ["invariance", "--seed", "-1"],
+                 ["verify", "--seed", "-1"]):
+        assert main([*argv, "--matrix", ex1]) == 1, argv
+        assert "Traceback" not in capsys.readouterr().err
+    code, rep = run(RunConfig(subcommand="quasi", matrix_path=ex1, cone_spec="rotation:-1"))
+    assert code == 1 and "rotation:-1" in rep["error"]
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(subcommand="invariance", matrix_path=ex1, seed=-1)
+
+
 def test_runconfig_validation(ex1):
     with pytest.raises(ValueError):
         RunConfig(subcommand="quasi", matrix_path=ex1, tol=0.0)

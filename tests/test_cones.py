@@ -21,16 +21,14 @@ def test_cone_construction_validates_rotation():
     Cone.rotated(np.eye(3))
     with pytest.raises(NotOrthogonal):
         Cone.rotated([[1.0, 1.0], [0.0, 1.0]])
-    assert Cone.orthant(2).kind == "orthant"
-    assert Cone.rotated(np.eye(2)).kind == "rotated"
 
 
 def test_contains_examples():
     c = Cone.orthant(2)
-    m = contains(c, [1.0, 0.0], strict=True)
-    assert m.in_cone and not m.in_interior and not m.holds
+    m = contains(c, [1.0, 0.0])
+    assert m.in_cone and not m.in_interior
     m = contains(c, [1.0, 1.0])
-    assert m.in_interior and m.holds
+    assert m.in_interior
     rot = Cone.rotated(givens_rotation(2, 0, 1, np.pi / 4))
     m = contains(rot, [0.0, 1.0])
     assert m.in_interior
@@ -118,7 +116,7 @@ def test_cone_metric_large_n_warns():
 def test_span_meets_interior_examples():
     c = Cone.orthant(2)
     w = span_meets_interior(c, [[1.0, 1.0]])
-    assert w is not None and contains(c, w, strict=True, tol=1e-12).in_interior
+    assert w is not None and contains(c, w, tol=1e-12).in_interior
     assert span_meets_interior(c, [[1.0, -1.0]]) is None
     assert span_meets_interior(Cone.orthant(4), [np.eye(4)[0], np.eye(4)[1]]) is None
 
@@ -139,8 +137,8 @@ def test_span_meets_interior_one_dim_matches_strict_containment():
         phi = rng.standard_normal(n)
         found = span_meets_interior(cone, [phi]) is not None
         direct = (
-            contains(cone, phi, strict=True).in_interior
-            or contains(cone, -phi, strict=True).in_interior
+            contains(cone, phi).in_interior
+            or contains(cone, -phi).in_interior
         )
         assert found == direct
 

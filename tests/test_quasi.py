@@ -303,6 +303,20 @@ def test_large_scale_breakdown_names_bracket_and_steps():
     assert lo - 1e-8 * rho <= rho <= hi + 1e-8 * rho
 
 
+@pytest.mark.parametrize("bracket", [(-1e-3, 0.0), (2.5, 3.0)])
+def test_bracket_that_misses_the_value_breaks_down(monkeypatch, bracket):
+    # The search trusts its starting bracket (the padded symmetric-part
+    # eigenvalues): each end is tested once, and an end whose test
+    # disagrees (upper end below the value sqrt(6), or lower end above it)
+    # is an error that names the bracket, never a value.
+    import quasieig.quasi as quasi_module
+
+    monkeypatch.setattr(quasi_module, "_bracket", lambda a: bracket)
+    with pytest.raises(NumericalBreakdown) as exc:
+        upper_quasi_eigenvalue(ISC, ORTHANT2)
+    assert f"bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]" in str(exc.value)
+
+
 def test_lp_solves_per_value(monkeypatch):
     # Every LP narrows the bracket from the side it certifies (the ratio of
     # a feasible point, the dual cut of an infeasible one), so a value
