@@ -283,9 +283,9 @@ def perturbation_bound_check(
         dev = max(abs(moved.lambda_upper - lam), abs(moved.lambda_lower - lam))
         checks.append(("two_sided_stability", dev, bound.c0 * dnorm))
 
-    slack = min(rhs - lhs for _, lhs, rhs in checks)
-    holds = slack >= -tol
     _, lhs_b, rhs_b = min(checks, key=lambda c: c[2] - c[1])
+    slack = rhs_b - lhs_b
+    holds = slack >= -tol
     details = "; ".join(
         f"{nm}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}" for nm, lhs, rhs in checks
     ) + f"; perturbation_sign={sign}"
@@ -402,7 +402,7 @@ def _cluster(indices: list[int], vals: np.ndarray, gap: float) -> list[list[int]
     return groups
 
 
-def normal_canonical_form(a, tol: float = 1e-10) -> NormalCanonicalForm:
+def normal_canonical_form(a) -> NormalCanonicalForm:
     """Orthogonal matrix and block data reducing a normal matrix to its
     rotation-scaling canonical form.
 
@@ -413,7 +413,7 @@ def normal_canonical_form(a, tol: float = 1e-10) -> NormalCanonicalForm:
     re-orthonormalized jointly before the columns are formed.
     """
     a = as_matrix(a)
-    if not classify(a, tol).normal:
+    if not classify(a).normal:
         raise NotNormal("matrix is not normal")
     nrm = operator_norm(a)
     im_tol = 1e-8 * max(1.0, nrm)

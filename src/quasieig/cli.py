@@ -18,7 +18,6 @@ from . import analysis
 from .cones import Cone, random_orthogonal
 from .errors import (
     ConvergenceFailure,
-    NonFinite,
     NotNormal,
     NumericalBreakdown,
     ParseError,
@@ -79,10 +78,7 @@ def _parse_matrix_json(text: str) -> np.ndarray:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(f"entry ({i}, {j}) is not a number", line=i + 1, column=j + 1)
-    m = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix entries must be finite")
-    return as_matrix(m)
+    return as_matrix(rows)
 
 
 def _parse_matrix_text(text: str) -> np.ndarray:
@@ -115,10 +111,7 @@ def _parse_matrix_text(text: str) -> np.ndarray:
             break
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}")
-    m = np.array(rows)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix entries must be finite")
-    return as_matrix(m)
+    return as_matrix(rows)
 
 
 def _fmt_float(x: float) -> str:
@@ -359,34 +352,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--matrix", required=True, help="matrix file (JSON or text)")
+        sp.add_argument(
+            "--matrix", required=True, dest="matrix_path", metavar="MATRIX",
+            help="matrix file (JSON or text)",
+        )
         sp.add_argument(
             "--cone",
             default="orthant",
+            dest="cone_spec",
+            metavar="CONE",
             help="'orthant', 'rotation:SEED', or a path to an orthogonal matrix file",
         )
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--grid", type=int, default=2000, dest="grid_k")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
+        sp.add_argument(
+            "--json", action="store_const", const="json", default="human", dest="output",
+            help="emit a JSON report",
+        )
         if name == "perturb":
-            sp.add_argument("--perturbation", required=True, help="perturbation matrix file")
+            sp.add_argument(
+                "--perturbation", required=True, dest="perturbation_path",
+                metavar="PERTURBATION", help="perturbation matrix file",
+            )
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = RunConfig(
-            subcommand=args.subcommand,
-            matrix_path=args.matrix,
-            cone_spec=args.cone,
-            tol=args.tol,
-            grid_k=args.grid_k,
-            seed=args.seed,
-            output="json" if args.json else "human",
-            perturbation_path=getattr(args, "perturbation", None),
-        )
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
     except (ParseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ eigenvalue oracle is LAPACK-backed; its residual contract is enforced on
 every call so downstream checkers never consume silently bad eigenpairs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,30 +68,19 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return seen
-
-
 def is_irreducible(m) -> bool:
     """True iff the digraph with an edge i -> j whenever ``|m[i, j]| > 0``
-    is strongly connected.  A 1x1 matrix counts as irreducible.
+    is strongly connected, i.e. iff ``(I + |m|)^(n-1) > 0`` (Horn &
+    Johnson, *Matrix Analysis*, 6.2).  Squaring the boolean closure
+    ``n.bit_length()`` times covers every path; its float products count
+    paths (at most n), so they are exact.  A 1x1 matrix is irreducible.
     """
     m = as_matrix(m)
     n = m.shape[0]
-    if n == 1:
-        return True
-    adj = np.abs(m) > 0.0
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+    reach = (np.abs(m) > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0.0
+    return bool(reach.all())
 
 
 def classify(m, tol: float = 1e-10) -> ClassificationReport:
@@ -109,10 +99,14 @@ def classify(m, tol: float = 1e-10) -> ClassificationReport:
     offdiag_nonpos = bool((m[off] <= 0.0).all())
     sign_constant = offdiag_nonneg or offdiag_nonpos
     irreducible = is_irreducible(m)
+    # Relative tests on m / 2^e, of norm in [1/2, 1): the rescale is exact,
+    # and m m^T can neither overflow nor underflow to a false zero.
     nrm = operator_norm(m)
-    symmetric = operator_norm(m - m.T) <= tol * nrm
-    skew = operator_norm(m + m.T) <= tol * nrm
-    normal = operator_norm(m @ m.T - m.T @ m) <= tol * nrm * nrm
+    e = math.frexp(nrm)[1]
+    s, nrm = np.ldexp(m, -e), math.ldexp(nrm, -e)
+    symmetric = operator_norm(s - s.T) <= tol * nrm
+    skew = operator_norm(s + s.T) <= tol * nrm
+    normal = operator_norm(s @ s.T - s.T @ s) <= tol * nrm * nrm
     return ClassificationReport(
         nonnegative=nonnegative,
         offdiag_nonneg=offdiag_nonneg,

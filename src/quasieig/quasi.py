@@ -289,12 +289,13 @@ def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
     ``inner_inf(a, cone, u) >= value - 2 * tol``.
 
     Caveat: on degenerate instances whose infeasibility margin decays
-    quadratically past the optimum (nilpotent-type reducible structure,
-    e.g. a single Jordan block of 0), a feasibility test can accept a
-    ``t`` above the value by up to about sqrt of the feasibility slack,
-    ~2e-7; the returned vector still certifies the true value from below.
-    Generic and irreducible inputs approach linearly and meet the stated
-    tolerance.
+    like ``(t - value)^k`` past the optimum (nilpotent-type reducible
+    structure), a feasibility test can accept a ``t`` above the value by
+    up to ``slack^(1/k)``, with ``slack = 256 eps``.  Over the orthant a
+    nilpotent Jordan block of size k (value 0) returns 2.38e-7, 3.85e-5,
+    4.88e-4, 6.21e-3 and 2.22e-2 for k = 2, 3, 4, 6 and 8; the returned
+    vector still certifies the true value from below.  Generic and
+    irreducible inputs approach linearly and meet the stated tolerance.
     """
     a = _solver_input(a, tol)
     value, w = _upper_search(a, _local_problem(a, cone), tol)
@@ -379,11 +380,9 @@ def brute_minimax(a, cone: Cone, grid_k: int) -> tuple[float, float]:
     n = a.shape[0]
     if n not in (2, 3):
         raise UnsupportedDimension("brute_minimax supports n in {2, 3}")
-    if cone.n != n:
-        raise DimensionMismatch("matrix and cone dimensions differ")
+    b = _local_problem(a, cone).astype(np.float32)
     if grid_k < 10:
         raise ValueError("grid_k must be at least 10")
-    b = _local_problem(a, cone).astype(np.float32)
     margin = np.float32(1.0 / (10.0 * grid_k))
 
     outer = _simplex_grid(n, grid_k)  # closed cone, includes boundary

@@ -279,3 +279,11 @@ def test_perturbation_file_errors_exit_1(tmp_path):
     a = np.array([[0.0, 2.0], [3.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         perturbation_bound_check(a, Cone.orthant(2), np.zeros((3, 3)))
+
+
+def test_classify_at_extreme_scale_exits_0(tmp_path, capsys):
+    f = tmp_path / "isc.json"
+    f.write_text('{"n":2,"rows":[[0,2e154],[3e154,0]]}')
+    assert main(["classify", "--matrix", str(f), "--json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["irreducible"] and flags["isc"] and not flags["normal"]

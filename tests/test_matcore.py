@@ -146,3 +146,38 @@ def test_eig_oracle_dimension_guard():
 
     with pytest.raises(UnsupportedDimension):
         eig_oracle(np.eye(65))
+
+
+def test_is_irreducible_matches_strong_components():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(11)
+    seen = set()
+    for i in range(320):
+        n = int(rng.integers(1, 65))
+        density = rng.uniform(0.02, 0.6)
+        m = random_matrix(rng, n) * (rng.random((n, n)) < density)
+        if i % 4 == 0:  # a permuted n-cycle: its digraph has diameter n - 1
+            m = np.zeros((n, n))
+            perm = rng.permutation(n)
+            m[perm, np.roll(perm, 1)] = rng.uniform(-1.0, 1.0, n)
+            m[perm[0], perm[-1]] *= i % 8  # every other cycle loses an edge
+        count, _ = csgraph.connected_components(np.abs(m) > 0, directed=True, connection="strong")
+        assert is_irreducible(m) == (count == 1)
+        seen.add(count == 1)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 1.0], [0.0, 1.0]],  # Jordan block
+        [[0.0, 2.0], [3.0, 0.0]],  # ISC fixture
+        [[1.0, -1.0], [1.0, 1.0]],  # paper example 2
+        [[2.0, 1.0], [1.0, -3.0]],
+        [[0.0, -1.0], [1.0, 0.0]],
+    ],
+)
+@pytest.mark.parametrize("k", [-1000, -520, 0, 520, 1000])
+def test_classify_is_scale_invariant(a, k):
+    a = np.array(a)
+    assert classify(2.0**k * a) == classify(a)
