@@ -103,33 +103,33 @@ def solve_max_eps(problem) -> LpSolution:
     mu = float(col_worst[j0])
     i0 = int(np.argmin(gs[:, j0]))
     eps_var = k if mu >= 0.0 else k + 1
-    basis = [j0, eps_var] + [k + 2 + i for i in range(m) if i != i0]
+    basis = np.array([j0, eps_var] + [k + 2 + i for i in range(m) if i != i0])
 
     tableau = np.linalg.solve(a[:, basis], a)
     reduced = cost - cost[basis] @ tableau[:, :nvar]
 
     budget = 200 + 50 * (nvar + nrow)
     for _ in range(budget):
-        candidates = np.nonzero(reduced < -_REDCOST_TOL)[0]
-        if candidates.size == 0:
+        eligible = reduced < -_REDCOST_TOL
+        enter = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[enter]:
             # The incremental updates can drift; re-derive before accepting.
             reduced = cost - cost[basis] @ tableau[:, :nvar]
             if not (reduced < -_REDCOST_TOL).any():
                 break
             continue
-        enter = int(candidates[0])  # Bland: lowest eligible index
 
         col = tableau[:, enter]
-        rows = np.nonzero(col > _PIVOT_TOL)[0]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
             raise NumericalBreakdown("unbounded pivot direction in max-eps LP")
         ratios = np.maximum(tableau[rows, nvar], 0.0) / col[rows]
         best = float(ratios.min())
         near = rows[(ratios - best) * col[rows] <= _TIE_DAMAGE_TOL]
-        leave_row = int(min(near, key=lambda i: basis[i]))  # Bland tie-break
+        leave_row = int(near[basis[near].argmin()])  # Bland tie-break
 
         piv_row = tableau[leave_row] / tableau[leave_row, enter]
-        tableau -= np.outer(tableau[:, enter], piv_row)
+        tableau -= col[:, None] * piv_row
         tableau[leave_row] = piv_row
         basis[leave_row] = enter
         reduced = reduced - reduced[enter] * piv_row[:nvar]

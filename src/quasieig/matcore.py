@@ -99,11 +99,12 @@ def classify(m, tol: float = 1e-10) -> ClassificationReport:
     offdiag_nonpos = bool((m[off] <= 0.0).all())
     sign_constant = offdiag_nonneg or offdiag_nonpos
     irreducible = is_irreducible(m)
-    # Relative tests on m / 2^e, of norm in [1/2, 1): the rescale is exact,
-    # and m m^T can neither overflow nor underflow to a false zero.
-    nrm = operator_norm(m)
-    e = math.frexp(nrm)[1]
-    s, nrm = np.ldexp(m, -e), math.ldexp(nrm, -e)
+    # Relative tests on m / 2^e, of largest entry in [1/2, 1): the rescale
+    # is exact, ||m|| (which can overflow) is never formed, and m m^T can
+    # neither overflow nor underflow to a false zero.
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    s = np.ldexp(m, -e)
+    nrm = operator_norm(s)
     symmetric = operator_norm(s - s.T) <= tol * nrm
     skew = operator_norm(s + s.T) <= tol * nrm
     normal = operator_norm(s @ s.T - s.T @ s) <= tol * nrm * nrm

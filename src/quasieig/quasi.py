@@ -32,7 +32,9 @@ bracket from the side it certifies:
   ``t + max(B^T y - t y) / max(y)``, widened by the feasibility slack.
 
 The next t is a safeguarded secant step on ``eps*(t)`` or the midpoint,
-and the search stops once the bracket is ``tol / 2`` wide.  The
+and the search stops once the bracket is ``tol / 2`` wide, or once that t
+is no float strictly inside it (where the float spacing at the value
+exceeds ``tol / 4``, about ``||A|| >= 1e7`` at the default tol).  The
 symmetric-part eigenvalues bracket both values, which seeds the search.
 The lower value is the reflection ``lower_C(A) = -upper_C(-A^T)``: in the
 cone's axes the same search on ``-B^T`` tests ``(B^T - t I) z <= 0``.
@@ -125,12 +127,14 @@ def _require_in_cone(cone: Cone, x, what: str) -> np.ndarray:
 def _closed_inf(b: np.ndarray, w: np.ndarray, what: str) -> float:
     """The inner infimum's closed form in the cone's axes: ``-inf`` when
     some coordinate with ``w_j <= SUPPORT_TOL`` has ``(B w)_j <
-    -SUPPORT_TOL``, else the smallest ``(B w)_i / w_i`` over the support."""
+    -SUPPORT_TOL max(1, max|B|)``, else the smallest ``(B w)_i / w_i``
+    over the support.  The floor scales with ``B``, so the rounding in
+    ``B w`` of a large matrix does not read as a negative coordinate."""
     small = w <= SUPPORT_TOL
     if small.all():
         raise NotInCone(f"{what} is numerically zero")
     bw = b @ w
-    if np.any(bw[small] < -SUPPORT_TOL):
+    if np.any(bw[small] < -SUPPORT_TOL * max(1.0, float(np.max(np.abs(b))))):
         return -math.inf
     sup = ~small
     return float((bw[sup] / w[sup]).min())
@@ -191,7 +195,11 @@ def _feasibility_test(b: np.ndarray, t: float, best: bool = False):
     better, so the decision is unchanged); ``best`` forces the max-margin
     optimizer.
     """
-    g = b - t * np.eye(b.shape[0])
+    # b - t I without forming I.  Subtracting 0 * t everywhere, as t * I
+    # does off the diagonal, gives zero entries the same signs, and C
+    # order the same summation order in later products.
+    g = np.subtract(b, 0.0 * t, order="C")
+    g.flat[:: b.shape[0] + 1] -= t
     slack = _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
     if not best:
         col_margins = g.min(axis=0)
@@ -227,8 +235,14 @@ def _upper_search(a: np.ndarray, b: np.ndarray, tol: float, reflected: bool = Fa
     Crouzeix, Ferland and Schaible 1985); otherwise the midpoint.  The
     search stops at width ``tol / 2``, not ``tol``: an upper and a
     (reflected) lower value that coincide then come out at most ``tol``
-    apart, within the margin of ``bounds_check``.  ``reflected`` only
-    names the bracket of an error in the lower value's coordinates.
+    apart, within the margin of ``bounds_check``.  It also stops when the
+    next ``t`` is not strictly inside ``(lo, hi)``, which happens only
+    where ``tol / 4`` is below the float spacing at the value: ``lo`` and
+    ``hi`` are adjacent floats, or the secant root rounds onto an end
+    (the secant then puts the value at that end, and ``hi`` can stay far
+    above ``lo``).  Both ends stay certified and ``lo`` is returned;
+    testing that ``t`` would decide nothing new.  ``reflected`` only names the bracket of an error in the
+    lower value's coordinates.
     """
     lo, hi = _bracket(a)
     w, lift, _ = _feasibility_test(b, lo)
@@ -253,6 +267,8 @@ def _upper_search(a: np.ndarray, b: np.ndarray, tol: float, reflected: bool = Fa
             root = last[0] - last[1] * (last[0] - older[0]) / (last[1] - older[1])
             if lo + 0.25 * tol <= root <= hi - 0.25 * tol:
                 t = root
+        if not lo < t < hi:
+            break  # float resolution: no new point to test
         wt, bound, eps = _feasibility_test(b, t)
         if wt is not None:
             lo, w = max(t, min(bound, hi)), wt
@@ -282,10 +298,14 @@ def _solver_input(a, tol: float) -> np.ndarray:
 def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """The upper quasi-eigenvalue and a right quasi-eigenvector.
 
-    Returns ``(value, u)``.  The value is the lower end of a bracket of
-    width at most ``tol / 2`` around the true supremum: a Collatz-Wielandt
-    ratio of a feasible simplex point below, an LP-dual cut above.  ``u``
-    (unit coordinate sum in cone axes) certifies it:
+    Returns ``(value, u)``.  The value is the lower end of a bracket
+    around the true supremum: a Collatz-Wielandt ratio of a feasible
+    simplex point below, an LP-dual cut above.  The bracket is at most
+    ``tol / 2`` wide, unless ``tol / 4`` is below the float spacing at the
+    value (about ``||A|| >= 1e7`` at the default tol); there the search
+    runs to float resolution, and the value is within the feasibility
+    slack (a relative 2.5e-13 at worst on Perron matrices at 1e7 and 1e150).
+    ``u`` (unit coordinate sum in cone axes) certifies it:
     ``inner_inf(a, cone, u) >= value - 2 * tol``.
 
     Caveat: on degenerate instances whose infeasibility margin decays

@@ -287,3 +287,22 @@ def test_classify_at_extreme_scale_exits_0(tmp_path, capsys):
     assert main(["classify", "--matrix", str(f), "--json"]) == 0
     flags = json.loads(capsys.readouterr().out)["flags"]
     assert flags["irreducible"] and flags["isc"] and not flags["normal"]
+
+
+def test_classify_of_matrix_whose_norm_overflows_exits_0(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text('{"n":2,"rows":[[1e308,1e308],[1e308,1e308]]}')
+    assert main(["classify", "--matrix", str(f), "--json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["nonnegative"] and flags["symmetric"] and flags["normal"]
+
+
+def test_quasi_at_large_scale_exits_0(tmp_path, capsys):
+    # The ISC fixture times 1e7: the float spacing at the value exceeds
+    # tol / 4, and the search stops at float resolution, not at its step
+    # budget (which exits 3).
+    f = tmp_path / "isc_1e7.json"
+    f.write_text('{"n":2,"rows":[[0,2e7],[3e7,0]]}')
+    assert main(["quasi", "--matrix", str(f), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["lambda_upper"] - 6e14**0.5) <= 1e-12 * 6e14**0.5

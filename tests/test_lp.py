@@ -144,3 +144,45 @@ def test_dual_certifies_eps_star():
         )
         assert ref.status == 0
         assert abs(-ref.fun - sol.eps_star) <= 1e-9
+
+
+def _bit_identity_inputs():
+    """600 seeded G: random (m != k), with repeated columns and zero rows,
+    and near-degenerate B - t I with t within 1e-9 of the upper value of
+    B, as the quasi-eigenvalue search feeds the kernel (also in the
+    Fortran order of a reflected B^T)."""
+    from quasieig import Cone, upper_quasi_eigenvalue
+
+    rng = np.random.default_rng(16)
+    out = []
+    for _ in range(200):
+        m, k = (int(x) for x in rng.choice(np.arange(1, 10), 2, replace=False))
+        out.append(rng.uniform(-2.0, 2.0, (m, k)))
+    for _ in range(200):
+        m, k = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        g = rng.uniform(-1.0, 1.0, (m, k))
+        g[:, rng.integers(0, k)] = g[:, rng.integers(0, k)]
+        g[rng.integers(0, m)] = 0.0
+        out.append(g)
+    for i in range(200):
+        n = int(rng.integers(2, 9))
+        b = rng.uniform(-1.0, 1.0, (n, n))
+        if i % 2:
+            b = -b.T
+        value, _ = upper_quasi_eigenvalue(b, Cone.orthant(n))
+        t = value + float(rng.uniform(-1e-9, 1e-9))
+        g = b - t * np.eye(n)
+        out.append(np.asfortranarray(g) if i % 4 == 1 else g)
+    return out
+
+
+def test_kernel_matches_frozen_reference_bit_for_bit():
+    from lp_reference import solve_max_eps_reference
+
+    for i, g in enumerate(_bit_identity_inputs()):
+        sol = solve_max_eps(g)
+        eps, x, y = solve_max_eps_reference(g)
+        assert np.array_equal(sol.eps_star, eps), i
+        assert np.array_equal(sol.x_star, x), i
+        assert np.array_equal(sol.y_star, y), i
+        assert sol.x_star.tobytes() == x.tobytes() and sol.y_star.tobytes() == y.tobytes(), i

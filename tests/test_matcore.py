@@ -181,3 +181,11 @@ def test_is_irreducible_matches_strong_components():
 def test_classify_is_scale_invariant(a, k):
     a = np.array(a)
     assert classify(2.0**k * a) == classify(a)
+
+
+def test_classify_matrix_whose_norm_overflows():
+    # ||A|| = 2e308 is not a float, but every entry is; the relative tests
+    # run on A rescaled by its largest entry, so they never form the norm.
+    r = classify([[1e308, 1e308], [1e308, 1e308]])
+    assert r.nonnegative and r.symmetric and r.normal
+    assert not r.skew_symmetric

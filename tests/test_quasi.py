@@ -287,20 +287,73 @@ def test_symmetric_interior_eigenvector_case():
     assert r.lambda_lower == pytest.approx(1.0, abs=1e-8)
 
 
-def test_large_scale_breakdown_names_bracket_and_steps():
-    # At ||A|| >= 1e7 the ulp of the value exceeds the absolute tol, so the
-    # bisection cannot close its bracket (a known defect).  The error must
-    # say where it stopped: the bracket, which still holds the value, and
-    # the step count.
-    a = 1e7 * random_irreducible_nonneg(np.random.default_rng(3), 4)
-    with pytest.raises(NumericalBreakdown, match="step budget of 200 steps") as exc:
+@pytest.mark.parametrize("scale", [1e7, 1e150])
+def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
+    # At ||A|| >= 1e7 the float spacing near the value exceeds tol / 4, so
+    # the bracket cannot get tol / 2 narrow; the search stops when no float
+    # is left to test strictly inside it.  Both values are the Perron root
+    # to a relative 1e-12, and the pair costs at most 60 LPs (a search that
+    # retested one t would spend its whole 200-step budget).
+    import quasieig.quasi as quasi_module
+
+    a = scale * random_irreducible_nonneg(np.random.default_rng(3), 4)
+    rho = max(abs(lam) for lam, _ in eig_oracle(a))
+    solves = []
+    solve = quasi_module.solve_max_eps
+
+    def counting(g):
+        solves.append(1)
+        return solve(g)
+
+    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    r = quasi_pair(a, Cone.orthant(4))
+    assert abs(r.lambda_upper - rho) <= 1e-12 * rho
+    assert abs(r.lambda_lower - rho) <= 1e-12 * rho
+    assert len(solves) <= 60
+
+    # The step budget still names where it stopped: the bracket, which
+    # holds the value, and the step count.
+    monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
+    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
         quasi_pair(a, Cone.orthant(4))
     found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc.value))
     assert found, str(exc.value)
     lo, hi = float(found.group(1)), float(found.group(2))
-    rho = max(abs(lam) for lam, _ in eig_oracle(a))  # the upper value (Perron root)
-    assert 1e-9 < hi - lo <= 1e-8
-    assert lo - 1e-8 * rho <= rho <= hi + 1e-8 * rho
+    assert lo <= rho <= hi
+
+
+def _homogeneity_cases():
+    """Twelve seeded matrices (Perron, generic, ISC-; n = 2-7; orthant and
+    rotated cones) and nilpotent Jordan blocks of sizes 2-8."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for i in range(12):
+        n = 2 + i % 6
+        a = (random_irreducible_nonneg, random_matrix, lambda r, m: random_isc(r, m, -1))[i % 3](rng, n)
+        cases.append((a, Cone.orthant(n) if i % 2 == 0 else random_cone(rng, n)))
+    for k in (2, 3, 4, 6, 8):
+        cases.append((np.diag(np.ones(k - 1), 1), Cone.orthant(k)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(17))
+def test_values_and_certificates_are_positively_homogeneous(case):
+    # quasi(cA) = c quasi(A) for c > 0.  Scaling by 2^k is exact, so the
+    # values and the certificates of their vectors must scale with it, up
+    # to the search's tolerance: no breakdown at large scale, and no
+    # +-inf certificate from rounding in B w.
+    a, cone = _homogeneity_cases()[case]
+    r0 = quasi_pair(a, cone)
+    tau = r0.tol * max(1.0, np.linalg.norm(a, 2))
+    cert0 = inner_inf(a, cone, r0.u_right), inner_sup(a, cone, r0.v_left)
+    for k in (24, 60, 300, 490):
+        c = 2.0**k
+        r = quasi_pair(c * a, cone)
+        assert abs(r.lambda_upper / c - r0.lambda_upper) <= tau, k
+        assert abs(r.lambda_lower / c - r0.lambda_lower) <= tau, k
+        cert = inner_inf(c * a, cone, r.u_right) / c, inner_sup(c * a, cone, r.v_left) / c
+        assert abs(cert[0] - cert0[0]) <= tau, (k, cert, cert0)
+        assert abs(cert[1] - cert0[1]) <= tau, (k, cert, cert0)
 
 
 @pytest.mark.parametrize("bracket", [(-1e-3, 0.0), (2.5, 3.0)])
