@@ -11,6 +11,7 @@ Library layout:
 """
 
 from .analysis import (
+    MatrixFacts,
     NormalCanonicalForm,
     PerturbationBound,
     TheoremReport,

@@ -3,25 +3,23 @@ perturbation constants and stability bounds, cone-continuity sweeps,
 the normal-matrix canonical form, and its cone classification.
 
 Checkers return ``TheoremReport`` values rather than raising: a falsified
-bound is data.  Inapplicable preconditions are carried in the report too
-(``applicable=False``), which the CLI maps to its own exit code.
+bound is data, and so is an unmet hypothesis (``applicable=False``, which
+the CLI maps to its own exit code), except in ``theorem4_classify``
+(``NotNormal``) and ``cone_continuity_experiment`` (``NotInterior``).
+Each checker takes a matrix or a ``MatrixFacts`` record; checkers handed
+one record share its solves and matrix facts.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cones import Cone, cone_metric, givens_rotation, span_meets_interior
 from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal, NotOrthogonal
-from .matcore import (
-    as_matrix,
-    classify,
-    eig_oracle,
-    operator_norm,
-    symmetric_part_eigs,
-)
+from .matcore import as_matrix, classify, eig_oracle, operator_norm, symmetric_part_eigs
 from .quasi import QuasiEigenResult, quasi_pair, upper_quasi_eigenvalue
 
 
@@ -81,6 +79,49 @@ def assemble_canonical(form: NormalCanonicalForm) -> np.ndarray:
     return out
 
 
+class MatrixFacts:
+    """What the checkers derive from one matrix, each fact derived once, on
+    first use.  Pairs are memoised per ``(cone, tol)``: every orthant
+    shares one key, any other cone is keyed by the object itself.  A
+    checker handed a plain matrix builds a fresh record."""
+
+    def __init__(self, a):
+        self.a = as_matrix(a)
+        self._pairs = {}
+        self._uppers = {}
+
+    @cached_property
+    def flags(self):
+        return classify(self.a)
+
+    @cached_property
+    def eigs(self) -> list[tuple[complex, np.ndarray]]:
+        return eig_oracle(self.a)
+
+    @cached_property
+    def form(self) -> NormalCanonicalForm:
+        return normal_canonical_form(self)
+
+    def pair(self, cone: Cone, tol: float) -> QuasiEigenResult:
+        key = (None if cone.rotation is None else cone, tol)
+        if key not in self._pairs:
+            self._pairs[key] = quasi_pair(self.a, cone, tol)
+        return self._pairs[key]
+
+    def orthant_upper(self, tol: float) -> float:
+        """The orthant pair's upper value if that pair is solved, else the
+        upper value solved alone: solving the lower too could raise needlessly."""
+        if (None, tol) in self._pairs:
+            return self._pairs[None, tol].lambda_upper
+        if tol not in self._uppers:
+            self._uppers[tol] = upper_quasi_eigenvalue(self.a, Cone.orthant(len(self.a)), tol)[0]
+        return self._uppers[tol]
+
+
+def _facts(a) -> MatrixFacts:
+    return a if isinstance(a, MatrixFacts) else MatrixFacts(a)
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -110,21 +151,16 @@ _ORTHANT_IDENTITIES = {
 }
 
 
-def _orthant_identity_check(
-    name: str, a, tol: float, pair: QuasiEigenResult | None
-) -> TheoremReport:
+def _orthant_identity_check(name: str, a, tol: float) -> TheoremReport:
     """Shared body of ``perron_check`` and ``max_re_check``: the upper
     quasi-eigenvalue over the orthant dominates the largest value of the
     spectral functional, with equality when it lands on one."""
     flag, why_not, functional, label, match = _ORTHANT_IDENTITIES[name]
-    a = as_matrix(a)
-    if not getattr(classify(a), flag):
+    facts = _facts(a)
+    if not getattr(facts.flags, flag):
         return _not_applicable(name, why_not)
-    if pair is None:
-        lam, _ = upper_quasi_eigenvalue(a, Cone.orthant(a.shape[0]), tol)
-    else:
-        lam = pair.lambda_upper
-    values = [functional(val) for val, _ in eig_oracle(a)]
+    lam = facts.orthant_upper(tol)
+    values = [functional(val) for val, _ in facts.eigs]
     bound = max(values)
     holds = lam >= bound - tol
     details = f"upper={_fmt(lam)} {label}={_fmt(bound)}"
@@ -141,45 +177,37 @@ def _orthant_identity_check(
     )
 
 
-def perron_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
+def perron_check(a, tol: float = 1e-9) -> TheoremReport:
     """Nonnegative matrices: the upper quasi-eigenvalue over the orthant
     dominates the spectral radius, with equality when it lands on an
-    eigenvalue magnitude.
-
-    ``pair``, when given, must be ``quasi_pair(a, Cone.orthant(n), tol)``;
-    its upper value is used instead of solving again."""
-    return _orthant_identity_check("perron_root", a, tol, pair)
+    eigenvalue magnitude."""
+    return _orthant_identity_check("perron_root", a, tol)
 
 
-def max_re_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
+def max_re_check(a, tol: float = 1e-9) -> TheoremReport:
     """Matrices with nonnegative off-diagonal entries: the upper
     quasi-eigenvalue over the orthant dominates the largest eigenvalue
-    real part, with equality when it lands on one.
-
-    ``pair`` is used as in ``perron_check``."""
-    return _orthant_identity_check("max_real_part", a, tol, pair)
+    real part, with equality when it lands on one."""
+    return _orthant_identity_check("max_real_part", a, tol)
 
 
-def _eig_is_simple(a, lam: float) -> bool:
+def _eig_is_simple(eigs, lam: float) -> bool:
     """No other eigenvalue lies within 1e-6 of the one nearest ``lam``."""
-    vals = np.array([val for val, _ in eig_oracle(a)])
+    vals = np.array([val for val, _ in eigs])
     nearest = vals[np.argmin(np.abs(vals - lam))]
     return int(np.sum(np.abs(vals - nearest) <= 1e-6)) == 1
 
 
-def isc_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> TheoremReport:
+def isc_check(a, tol: float = 1e-9) -> TheoremReport:
     """Irreducible sign-constant-off-diagonal matrices: the two
     quasi-eigenvalues over the orthant coincide at a simple eigenvalue
-    whose right and left eigenvectors are strictly positive.
-
-    ``pair``, when given, must be ``quasi_pair(a, Cone.orthant(n), tol)``."""
-    a = as_matrix(a)
-    if not classify(a).isc:
+    whose right and left eigenvectors are strictly positive."""
+    facts = _facts(a)
+    if not facts.flags.isc:
         return _not_applicable("isc_saddle", "matrix is not irreducible sign-constant")
-    if pair is None:
-        pair = quasi_pair(a, Cone.orthant(a.shape[0]), tol)
+    pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
-    simple = _eig_is_simple(a, pair.lambda_upper)
+    simple = _eig_is_simple(facts.eigs, pair.lambda_upper)
     holds = (
         pair.is_saddle
         and pair.u_interior
@@ -201,16 +229,12 @@ def isc_check(a, tol: float = 1e-9, pair: QuasiEigenResult | None = None) -> The
     )
 
 
-def perturbation_constants(
-    a, cone: Cone, tol: float = 1e-9, pair: QuasiEigenResult | None = None
-) -> PerturbationBound:
+def perturbation_constants(a, cone: Cone, tol: float = 1e-9) -> PerturbationBound:
     """Constants c1, c2 (and c0 = max) controlling how far a perturbation
     can move the quasi-eigenvalues.  Infinite when the corresponding
     quasi-eigenvector sits on the boundary; raises ``NotInterior`` when
     both do."""
-    a = as_matrix(a)
-    if pair is None:
-        pair = quasi_pair(a, cone, tol)
+    pair = _facts(a).pair(cone, tol)
     if not (pair.u_interior or pair.v_interior):
         raise NotInterior("both quasi-eigenvectors are boundary vectors")
     c1 = math.inf
@@ -245,23 +269,20 @@ def _cone_sign(cone: Cone, d: np.ndarray) -> str:
     return "mixed"
 
 
-def perturbation_bound_check(
-    a, cone: Cone, d, tol: float = 1e-9, pair: QuasiEigenResult | None = None
-) -> TheoremReport:
+def perturbation_bound_check(a, cone: Cone, d, tol: float = 1e-9) -> TheoremReport:
     """Evaluate every perturbation inequality whose interiority gate is
     met: the one-sided Lipschitz bounds, the monotone one-signed cases,
     and the two-sided stability bound when both vectors are interior.
     Raises ``DimensionMismatch`` when ``d`` is not the shape of ``a``."""
-    a = as_matrix(a)
+    facts = _facts(a)
     d = as_matrix(d)
-    if d.shape != a.shape:
+    if d.shape != facts.a.shape:
         raise DimensionMismatch("perturbation and matrix dimensions differ")
-    if pair is None:
-        pair = quasi_pair(a, cone, tol)
+    pair = facts.pair(cone, tol)
     if not (pair.u_interior or pair.v_interior):
         return _not_applicable("perturbation_bounds", "both quasi-eigenvectors on the boundary")
-    bound = perturbation_constants(a, cone, tol, pair=pair)
-    moved = quasi_pair(a + d, cone, tol)
+    bound = perturbation_constants(facts, cone, tol)
+    moved = quasi_pair(facts.a + d, cone, tol)
     dnorm = operator_norm(d)
     sign = _cone_sign(cone, d)
 
@@ -309,8 +330,8 @@ def cone_continuity_experiment(
     against a closed form: the report carries the sweep (angle, distance,
     deviation, ratio) as JSON in ``details`` and holds iff every ratio is
     finite."""
-    a = as_matrix(a)
-    base = quasi_pair(a, cone, tol)
+    facts = _facts(a)
+    base = facts.pair(cone, tol)
     if not (base.u_interior and base.v_interior):
         raise NotInterior("cone continuity requires interior quasi-eigenvectors")
     lam = 0.5 * (base.lambda_upper + base.lambda_lower)
@@ -325,7 +346,7 @@ def cone_continuity_experiment(
         rot = givens_rotation(cone.n, int(i), int(j), float(theta))
         moved_cone = Cone.rotated(rot @ cone.basis)
         dist = cone_metric(cone, moved_cone)
-        moved = quasi_pair(a, moved_cone, tol)
+        moved = quasi_pair(facts.a, moved_cone, tol)
         dev = max(abs(moved.lambda_upper - lam), abs(moved.lambda_lower - lam))
         ratio = dev / dist if dist > 0.0 else 0.0
         ratios.append(ratio)
@@ -342,16 +363,12 @@ def cone_continuity_experiment(
     )
 
 
-def bounds_check(
-    a, cone: Cone, tol: float = 1e-9, pair: QuasiEigenResult | None = None
-) -> TheoremReport:
+def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     """The symmetric-part eigenvalue sandwich, plus the eigenvalue
-    real-part sandwich when the matrix is normal.  ``pair``, when given,
-    must be ``quasi_pair(a, cone, tol)``."""
-    a = as_matrix(a)
-    if pair is None:
-        pair = quasi_pair(a, cone, tol)
-    sym = symmetric_part_eigs(a)
+    real-part sandwich when the matrix is normal."""
+    facts = _facts(a)
+    pair = facts.pair(cone, tol)
+    sym = symmetric_part_eigs(facts.a)
     lo, hi = float(sym[0]), float(sym[-1])
     margins = [
         pair.lambda_lower - lo,
@@ -362,8 +379,8 @@ def bounds_check(
         f"sym_bounds=[{_fmt(lo)}, {_fmt(hi)}] "
         f"lower={_fmt(pair.lambda_lower)} upper={_fmt(pair.lambda_upper)}"
     )
-    if classify(a).normal:
-        res = [val.real for val, _ in eig_oracle(a)]
+    if facts.flags.normal:
+        res = [val.real for val, _ in facts.eigs]
         rlo, rhi = min(res), max(res)
         margins += [pair.lambda_lower - rlo, rhi - pair.lambda_upper]
         details += f"; normal re_bounds=[{_fmt(rlo)}, {_fmt(rhi)}]"
@@ -412,14 +429,15 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
     real eigenvalue its real eigenvector.  Near-degenerate clusters are
     re-orthonormalized jointly before the columns are formed.
     """
-    a = as_matrix(a)
-    if not classify(a).normal:
+    facts = _facts(a)
+    a = facts.a
+    if not facts.flags.normal:
         raise NotNormal("matrix is not normal")
     nrm = operator_norm(a)
     im_tol = 1e-8 * max(1.0, nrm)
     gap = max(1e-7 * nrm, 1e-12)
 
-    pairs = eig_oracle(a)
+    pairs = facts.eigs
     vals = np.array([lam for lam, _ in pairs])
     vecs = [phi for _, phi in pairs]
 
@@ -468,9 +486,7 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
     return form
 
 
-def theorem4_classify(
-    a, cone: Cone, tol: float = 1e-9, pair: QuasiEigenResult | None = None
-) -> TheoremReport:
+def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     """Predict both quasi-eigenvalues of a normal matrix from which
     invariant subspaces of its canonical form meet the open cone, then
     compare the prediction against the LP-search values.
@@ -485,11 +501,9 @@ def theorem4_classify(
     open cone with neither of its axes inside, and the true values then
     fall strictly between the eigenvalue real parts; the report carries
     the discrepancy (``holds=False``) rather than raising.
-
-    ``pair``, when given, must be ``quasi_pair(a, cone, tol)``.
     """
-    a = as_matrix(a)
-    form = normal_canonical_form(a)
+    facts = _facts(a)
+    form = facts.form
     subspaces: list[tuple[float, list[np.ndarray]]] = []
     for i, (r, theta) in enumerate(form.rotation_blocks):
         cols = [form.u_a[:, 2 * i], form.u_a[:, 2 * i + 1]]
@@ -509,8 +523,7 @@ def theorem4_classify(
         case = "boundary-only"
         pred_up, pred_lo = max(re_parts), min(re_parts)
 
-    if pair is None:
-        pair = quasi_pair(a, cone, tol)
+    pair = facts.pair(cone, tol)
     dev = max(abs(pair.lambda_upper - pred_up), abs(pair.lambda_lower - pred_lo))
     holds = consistent and dev <= 10.0 * tol
     mixed = form.l > 0 and len(form.real_eigs) > 0
@@ -529,20 +542,15 @@ def theorem4_classify(
     )
 
 
-def invariance_check(
-    a, cone: Cone, u, tol: float = 1e-9, pair: QuasiEigenResult | None = None
-) -> TheoremReport:
+def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
     """Both quasi-eigenvalues are unchanged by an orthogonal change of
-    variables applied to the matrix and the cone together.  ``pair``, when
-    given, must be ``quasi_pair(a, cone, tol)``; the conjugated instance
-    is always solved."""
-    a = as_matrix(a)
+    variables applied to the matrix and the cone together."""
+    facts = _facts(a)
     u = as_matrix(u)
     if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:
         raise NotOrthogonal("change-of-variables matrix is not orthogonal")
-    if pair is None:
-        pair = quasi_pair(a, cone, tol)
-    conj = quasi_pair(u.T @ a @ u, Cone.rotated(u.T @ cone.basis), tol)
+    pair = facts.pair(cone, tol)
+    conj = quasi_pair(u.T @ facts.a @ u, Cone.rotated(u.T @ cone.basis), tol)
     dev = max(
         abs(pair.lambda_upper - conj.lambda_upper),
         abs(pair.lambda_lower - conj.lambda_lower),

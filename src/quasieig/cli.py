@@ -68,7 +68,7 @@ def _parse_matrix_json(text: str) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ParseError('JSON matrix must be an object with "n" and "rows"')
     n, rows = obj["n"], obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError('"n" must be a positive integer')
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'"rows" must hold {n} rows')
@@ -245,16 +245,16 @@ def _perturb(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list
     if config.perturbation_path is None:
         raise ParseError("perturb requires --perturbation")
     d = parse_matrix_file(config.perturbation_path)
-    pair = quasi_pair(m, cone, config.tol)
-    _fill_quasi(report, pair)
-    return [analysis.perturbation_bound_check(m, cone, d, config.tol, pair=pair)]
+    facts = analysis.MatrixFacts(m)
+    _fill_quasi(report, facts.pair(cone, config.tol))
+    return [analysis.perturbation_bound_check(facts, cone, d, config.tol)]
 
 
 def _normal(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
-    form = analysis.normal_canonical_form(m)
-    report["flags"]["rotation_blocks"] = [list(b) for b in form.rotation_blocks]
-    report["flags"]["real_eigs"] = list(form.real_eigs)
-    return [analysis.theorem4_classify(m, cone, config.tol)]
+    facts = analysis.MatrixFacts(m)
+    report["flags"]["rotation_blocks"] = [list(b) for b in facts.form.rotation_blocks]
+    report["flags"]["real_eigs"] = list(facts.form.real_eigs)
+    return [analysis.theorem4_classify(facts, cone, config.tol)]
 
 
 def _invariance(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
@@ -271,42 +271,32 @@ def _oracle(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
 
 
 def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
-    """Run every checker for one matrix.
-
-    The base pair is solved once and shared by every checker over
-    ``cone``.  The three orthant-only checkers share it when ``cone`` is
-    the orthant; over another cone they share one orthant pair when the
-    ISC check applies.  Otherwise the Perron and max-real-part checks
-    solve the upper orthant value themselves: solving the lower one, which
-    neither reads, could raise where they would not.  The conjugated and
-    the perturbed instances are solved inside their checkers."""
+    """Run every checker for one matrix on one ``MatrixFacts`` record, so
+    each instance is solved and each fact derived once.  The ISC check's
+    orthant pair is solved first, so the Perron and max-real-part checks
+    read their upper value from it."""
     tol = config.tol
-    pair = quasi_pair(m, cone, tol)
+    facts = analysis.MatrixFacts(m)
+    pair = facts.pair(cone, tol)
     _fill_quasi(report, pair)
-    flags = classify(m)
+    flags = facts.flags
     report["flags"].update(asdict(flags))
-
-    orthant_pair = None
-    if cone.rotation is None:
-        orthant_pair = pair
-    elif flags.isc:
-        orthant_pair = quasi_pair(m, Cone.orthant(m.shape[0]), tol)
+    if flags.isc:
+        facts.pair(Cone.orthant(m.shape[0]), tol)
     reps = [
-        analysis.bounds_check(m, cone, tol, pair=pair),
-        analysis.perron_check(m, tol, pair=orthant_pair),
-        analysis.max_re_check(m, tol, pair=orthant_pair),
-        analysis.isc_check(m, tol, pair=orthant_pair),
-        analysis.invariance_check(
-            m, cone, random_orthogonal(m.shape[0], config.seed), tol, pair=pair
-        ),
+        analysis.bounds_check(facts, cone, tol),
+        analysis.perron_check(facts, tol),
+        analysis.max_re_check(facts, tol),
+        analysis.isc_check(facts, tol),
+        analysis.invariance_check(facts, cone, random_orthogonal(m.shape[0], config.seed), tol),
     ]
     if flags.normal:
-        reps.append(analysis.theorem4_classify(m, cone, tol, pair=pair))
+        reps.append(analysis.theorem4_classify(facts, cone, tol))
     if pair.u_interior or pair.v_interior:
         rng = np.random.default_rng(config.seed)
         d = rng.standard_normal(m.shape)
         d *= 0.05 * max(operator_norm(m), 1.0) / max(operator_norm(d), 1e-30)
-        reps.append(analysis.perturbation_bound_check(m, cone, d, tol, pair=pair))
+        reps.append(analysis.perturbation_bound_check(facts, cone, d, tol))
     return reps
 
 

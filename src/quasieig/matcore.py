@@ -21,9 +21,13 @@ def as_matrix(values) -> np.ndarray:
     """Validate and return a square matrix as a float64 array.
 
     Accepts anything ``np.asarray`` accepts.  Raises ``NonSquare`` for
-    wrong shapes and ``NonFinite`` for NaN/inf entries.
+    wrong shapes and ``NonFinite`` for NaN/inf entries, or for an integer
+    too large for a float.
     """
-    m = np.asarray(values, dtype=float)
+    try:
+        m = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise NonFinite("matrix entries must be finite") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -33,7 +37,10 @@ def as_matrix(values) -> np.ndarray:
 
 def as_vector(values, n: int | None = None) -> np.ndarray:
     """Validate and return a vector as a float64 array of length ``n``."""
-    v = np.asarray(values, dtype=float).reshape(-1)
+    try:
+        v = np.asarray(values, dtype=float).reshape(-1)
+    except OverflowError:
+        raise NonFinite("vector entries must be finite") from None
     if n is not None and v.shape[0] != n:
         raise NonSquare(f"expected a vector of length {n}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):

@@ -14,6 +14,7 @@ import pytest
 
 from quasieig import (
     Cone,
+    MatrixFacts,
     brute_minimax,
     cone_continuity_experiment,
     eig_oracle,
@@ -170,9 +171,10 @@ def test_criterion_6_weyl_perturbation_suite():
         n = int(rng.integers(2, 7))
         a = random_isc(rng, n)
         cone = Cone.orthant(n)
-        base = quasi_pair(a, cone, tol=1e-9)
+        facts = MatrixFacts(a)
+        base = facts.pair(cone, 1e-9)
         lam = 0.5 * (base.lambda_upper + base.lambda_lower)
-        c0 = perturbation_constants(a, cone, pair=base).c0
+        c0 = perturbation_constants(facts, cone).c0
         for j in range(5):
             d = rng.standard_normal((n, n))
             d *= rng.uniform(0.02, 0.1) * operator_norm(a) / operator_norm(d)

@@ -6,6 +6,7 @@ import pytest
 
 from quasieig import (
     Cone,
+    MatrixFacts,
     NotInterior,
     NotNormal,
     bounds_check,
@@ -164,11 +165,12 @@ def test_bounds_check_holds_where_the_two_values_coincide():
         n = int(rng.integers(2, 9))
         a = rng.uniform(-1, 1, (n, n))
         cone = Cone.orthant(n)
-        r = quasi_pair(a, cone)
+        facts = MatrixFacts(a)
+        r = facts.pair(cone, 1e-9)
         if abs(r.lambda_upper - r.lambda_lower) > r.tol:
             continue
         coinciding += 1
-        rep = bounds_check(a, cone, pair=r)
+        rep = bounds_check(facts, cone)
         assert rep.holds, rep.details
         assert r.lambda_upper - r.lambda_lower >= -r.tol
     assert coinciding >= 30
@@ -378,9 +380,10 @@ def test_perturbation_stability_fixture_hundred_seeds():
     # eq-style two-sided stability at the isc fixture: 100 random
     # perturbations of operator norm 0.05, each recomputed by bisection.
     cone = ORTHANT2
-    base = quasi_pair(ISC, cone)
+    facts = MatrixFacts(ISC)
+    base = facts.pair(cone, 1e-9)
     lam = 0.5 * (base.lambda_upper + base.lambda_lower)
-    c0 = perturbation_constants(ISC, cone, pair=base).c0
+    c0 = perturbation_constants(facts, cone).c0
     rng = np.random.default_rng(27)
     for _ in range(100):
         d = rng.standard_normal((2, 2))
@@ -407,18 +410,46 @@ REUSE_CASES = {
 @pytest.mark.parametrize("kind", ["orthant", "rotated"])
 @pytest.mark.parametrize("case", list(REUSE_CASES))
 def test_checkers_give_the_same_report_with_a_precomputed_pair(case, kind):
-    # A checker handed quasi_pair(a, cone) must report exactly what it
-    # reports when it solves the pair itself (repr compares floats
-    # bit-for-bit and NaN equal to NaN).  The orthant-only checkers take
-    # the orthant pair, so they run on the orthant case only.
+    # A checker handed a MatrixFacts record that already holds the pairs
+    # over ``cone`` and over the orthant must report exactly what it
+    # reports on the plain matrix (repr compares floats bit-for-bit and
+    # NaN equal to NaN).  The orthant-only checkers run on the rotated
+    # case too: they must read the orthant pair, not the one over ``cone``.
     a = REUSE_CASES[case]
     n = a.shape[0]
     cone = Cone.orthant(n) if kind == "orthant" else Cone.rotated(random_orthogonal(n, 5))
-    pair = quasi_pair(a, cone)
-    calls = [(bounds_check, (a, cone)), (invariance_check, (a, cone, random_orthogonal(n, 9)))]
+    facts = MatrixFacts(a)
+    facts.pair(cone, 1e-9)
+    facts.pair(Cone.orthant(n), 1e-9)
+    calls = [(bounds_check, (cone,)), (invariance_check, (cone, random_orthogonal(n, 9))),
+             (perron_check, ()), (max_re_check, ()), (isc_check, ())]
     if classify(a).normal:
-        calls.append((theorem4_classify, (a, cone)))
-    if kind == "orthant":
-        calls += [(perron_check, (a,)), (max_re_check, (a,)), (isc_check, (a,))]
+        calls.append((theorem4_classify, (cone,)))
     for check, args in calls:
-        assert repr(check(*args, pair=pair)) == repr(check(*args)), check.__name__
+        assert repr(check(facts, *args)) == repr(check(a, *args)), check.__name__
+
+
+def test_matrix_facts_keys_pairs_by_cone_and_tol():
+    # Every orthant is one key; a rotated cone is keyed by the object, so
+    # two cones with the same rotation are two keys; each tol is its own.
+    a = REUSE_CASES["generic"]
+    n = a.shape[0]
+    facts = MatrixFacts(a)
+    assert facts.pair(Cone.orthant(n), 1e-9) is facts.pair(Cone.orthant(n), 1e-9)
+    assert facts.pair(Cone.orthant(n), 1e-9) is not facts.pair(Cone.orthant(n), 1e-8)
+    u = random_orthogonal(n, 5)
+    first, second = Cone.rotated(u), Cone.rotated(u)
+    assert facts.pair(first, 1e-9) is facts.pair(first, 1e-9)
+    assert facts.pair(first, 1e-9) is not facts.pair(second, 1e-9)
+    assert facts.orthant_upper(1e-9) == facts.pair(Cone.orthant(n), 1e-9).lambda_upper
+
+
+def test_perron_check_reads_the_orthant_value_after_a_rotated_pair():
+    # A record holding only the pair over a rotated cone must not lend that
+    # pair's upper value to the orthant identity.
+    a = random_irreducible_nonneg(np.random.default_rng(5), 4)
+    facts = MatrixFacts(a)
+    facts.pair(Cone.rotated(random_orthogonal(4, 3)), 1e-9)
+    rep = perron_check(facts)
+    assert repr(rep) == repr(perron_check(a))
+    assert rep.holds, rep.details

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import quasieig
 from quasieig import Cone, DimensionMismatch, NonFinite, ParseError, perturbation_bound_check
 from quasieig.cli import RunConfig, emit_json, emit_matrix, main, parse_matrix_file, run
 
@@ -51,6 +53,30 @@ def test_parse_errors(tmp_path):
     inf.write_text('{"n": 1, "rows": [[Infinity]]}')
     with pytest.raises(NonFinite):
         parse_matrix_file(str(inf))
+
+
+def test_integer_too_large_for_a_float_exits_1(tmp_path, capsys):
+    # The text format reads the same number as inf; both exit 1 with a
+    # report, not a traceback.
+    big = "9" * 400
+    for name, text in (("big.json", f'{{"n":1,"rows":[[{big}]]}}'), ("big.txt", f"1\n{big}\n")):
+        f = tmp_path / name
+        f.write_text(text)
+        with pytest.raises(NonFinite):
+            parse_matrix_file(str(f))
+        assert main(["classify", "--matrix", str(f), "--json"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out)["error"] == "matrix entries must be finite"
+        assert "Traceback" not in out.err
+
+
+def test_boolean_dimension_is_a_parse_error(tmp_path):
+    f = tmp_path / "bool.json"
+    f.write_text('{"n": true, "rows": [[5]]}')
+    with pytest.raises(ParseError, match='"n" must be a positive integer'):
+        parse_matrix_file(str(f))
+    code, rep = run(RunConfig(subcommand="classify", matrix_path=str(f)))
+    assert code == 1 and "positive integer" in rep["error"]
 
 
 def test_matrix_roundtrip_bit_exact(tmp_path):
@@ -204,43 +230,77 @@ def test_emit_json_17_digits():
     assert emit_json([True, None, 3]) == "[true,null,3]"
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named library function through every
+    quasieig module that holds it by name; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        fn = getattr(quasieig, name)
+        wrapped = counting(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "quasieig" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
+    return counts
+
+
+_SOLVES = ("upper_quasi_eigenvalue", "lower_quasi_eigenvalue")
+
+
 def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
     # An n = 4 ISC matrix over the orthant has three distinct instances:
     # the base pair, the conjugated pair of the invariance check and the
     # perturbed pair, so six one-sided solves.  A rotated cone adds the
     # orthant pair the Perron, max-real-part and ISC checks share (seed 55
     # keeps the base pair's vectors interior to the rotation:3 cone, so
-    # the perturbation check still runs).
-    import quasieig.analysis
-    import quasieig.cli
-    import quasieig.quasi
+    # the perturbation check still runs).  Every check reads one
+    # classification and at most one eigendecomposition of the matrix.
     from helpers import random_isc
 
     p = tmp_path / "isc4.json"
     p.write_text(emit_matrix(random_isc(np.random.default_rng(55), 4, sign=1)))
-    solves, classifies = [], []
-
-    def counting(fn, log):
-        def counted(*args, **kwargs):
-            log.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for side in ("upper_quasi_eigenvalue", "lower_quasi_eigenvalue"):
-        wrapped = counting(getattr(quasieig.quasi, side), solves)
-        for mod in (quasieig.quasi, quasieig.analysis):
-            if hasattr(mod, side):
-                monkeypatch.setattr(mod, side, wrapped)
-    monkeypatch.setattr(quasieig.cli, "classify", counting(quasieig.cli.classify, classifies))
-
+    counts = _count_calls(monkeypatch, *_SOLVES, "classify", "eig_oracle")
     for spec, expected in (("orthant", 6), ("rotation:3", 8)):
-        solves.clear()
-        classifies.clear()
+        counts.update(dict.fromkeys(counts, 0))
         code, _ = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec=spec))
         assert code == 0
-        assert len(solves) == expected, (spec, solves)
-        assert len(classifies) == 1
+        assert sum(counts[side] for side in _SOLVES) == expected, (spec, counts)
+        assert counts["classify"] == 1, (spec, counts)
+        assert counts["eig_oracle"] <= 1, (spec, counts)
+
+
+def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
+    tmp_path, monkeypatch
+):
+    # A reducible nonnegative matrix is not ISC, so over a rotated cone no
+    # orthant pair is solved: the Perron and max-real-part checks share one
+    # upper orthant solve.  With the base and conjugated pairs (both
+    # vectors are on the boundary, so no perturbed pair), that is five.
+    p = tmp_path / "reducible.json"
+    p.write_text('{"n": 3, "rows": [[1, 1, 0], [0, 2, 0], [0.5, 0, 0.7]]}')
+    counts = _count_calls(monkeypatch, *_SOLVES)
+    code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
+    assert code == 0
+    assert rep["flags"]["nonnegative"] and not rep["flags"]["isc"]
+    assert counts == {"upper_quasi_eigenvalue": 3, "lower_quasi_eigenvalue": 2}
+
+
+def test_normal_classifies_and_decomposes_the_matrix_once(tmp_path, monkeypatch):
+    from helpers import random_normal_matrix
+
+    p = tmp_path / "normal5.json"
+    p.write_text(emit_matrix(random_normal_matrix(np.random.default_rng(3), 5)[0]))
+    counts = _count_calls(monkeypatch, "classify", "eig_oracle", "normal_canonical_form")
+    code, rep = run(RunConfig(subcommand="normal", matrix_path=str(p)))
+    assert "error" not in rep and code in (0, 3)
+    assert counts == {"classify": 1, "eig_oracle": 1, "normal_canonical_form": 1}
 
 
 _EXIT_CASES = {

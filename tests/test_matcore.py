@@ -5,6 +5,7 @@ from quasieig import (
     NonFinite,
     NonSquare,
     as_matrix,
+    as_vector,
     classify,
     eig_oracle,
     is_irreducible,
@@ -24,6 +25,13 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFinite):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_integers_too_large_for_a_float_are_non_finite():
+    with pytest.raises(NonFinite, match="matrix entries must be finite"):
+        as_matrix([[10**400]])
+    with pytest.raises(NonFinite, match="vector entries must be finite"):
+        as_vector([1, -(10**400)])
 
 
 def test_operator_norm_examples():
