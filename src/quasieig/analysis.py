@@ -99,6 +99,10 @@ class MatrixFacts:
         return eig_oracle(self.a)
 
     @cached_property
+    def norm(self) -> float:
+        return operator_norm(self.a)
+
+    @cached_property
     def form(self) -> NormalCanonicalForm:
         return normal_canonical_form(self)
 
@@ -433,7 +437,7 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
     a = facts.a
     if not facts.flags.normal:
         raise NotNormal("matrix is not normal")
-    nrm = operator_norm(a)
+    nrm = facts.norm
     im_tol = 1e-8 * max(1.0, nrm)
     gap = max(1e-7 * nrm, 1e-12)
 

@@ -295,7 +295,7 @@ def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
     if pair.u_interior or pair.v_interior:
         rng = np.random.default_rng(config.seed)
         d = rng.standard_normal(m.shape)
-        d *= 0.05 * max(operator_norm(m), 1.0) / max(operator_norm(d), 1e-30)
+        d *= 0.05 * max(facts.norm, 1.0) / max(operator_norm(d), 1e-30)
         reps.append(analysis.perturbation_bound_check(facts, cone, d, tol))
     return reps
 

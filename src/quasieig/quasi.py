@@ -23,21 +23,34 @@ because a feasible ``w`` certifies an inner infimum >= t, and any ``w``
 with finite inner value s satisfies the constraint at t = s.  Feasibility
 is monotone in t (decreasing t only relaxes the constraint), so the value
 is found by a search on t, testing each t with the max-margin LP, whose
-optimum ``eps*(t)`` changes sign at the value.  Every test narrows the
-bracket from the side it certifies:
+optimum ``eps*(t) = val(B - t I)``, the value of the matrix game
+``B - t I``, is nonincreasing in t; the upper value is the top of its
+zero set.  The lower value is the bottom of it,
 
-* feasible: the returned ``w`` lifts the lower end to its ratio
-  ``min (B w)_i / w_i`` (a Collatz-Wielandt bound);
-* infeasible: the LP dual ``y`` lowers the upper end to
-  ``t + max(B^T y - t y) / max(y)``, widened by the feasibility slack.
+    lower(B) = min { t : (B - t I)^T z <= 0 for some simplex z },
 
-The next t is a safeguarded secant step on ``eps*(t)`` or the midpoint,
-and the search stops once the bracket is ``tol / 2`` wide, or once that t
+the reflection ``lower_C(A) = -upper_C(-A^T)``.  By LP duality
+the game ``-(B - t I)^T`` has value ``-eps*(t)`` and optimal strategies
+those of ``B - t I`` swapped, so one LP answers both tests: its primal
+``w`` the upper one, its dual ``y`` the lower one.  Each value keeps its
+own certified bracket, and every answer narrows it from the side it
+certifies:
+
+* upper feasible, ``min((B - t I) w) >= 0``: ``w`` lifts the lower end
+  to its ratio ``min (B w)_i / w_i`` (a Collatz-Wielandt bound);
+* upper infeasible: ``y`` lowers the upper end to
+  ``t + max(B^T y - t y) / max(y)``;
+* lower feasible, ``max((B - t I)^T y) <= 0``: ``y`` lowers the upper end
+  to its ratio ``max (B^T y)_i / y_i``;
+* lower infeasible: ``w`` lifts the lower end to
+  ``t + min(B w - t w) / max(w)``;
+
+each widened by the feasibility slack.  The next t is a safeguarded
+secant step on ``eps*(t)`` or the midpoint, in the first bracket still
+wider than ``tol / 2``; a bracket is done at that width, or once that t
 is no float strictly inside it (where the float spacing at the value
 exceeds ``tol / 4``, about ``||A|| >= 1e7`` at the default tol).  The
 symmetric-part eigenvalues bracket both values, which seeds the search.
-The lower value is the reflection ``lower_C(A) = -upper_C(-A^T)``: in the
-cone's axes the same search on ``-B^T`` tests ``(B^T - t I) z <= 0``.
 
 This reduction is validated against a brute-force grid oracle
 (``brute_minimax``), never assumed.
@@ -162,128 +175,195 @@ def _bracket(a) -> tuple[float, float]:
     return float(sym[0]) - pad, float(sym[-1]) + pad
 
 
-def _breakdown(what: str, lo: float, hi: float, tol: float, reflected: bool) -> NumericalBreakdown:
+def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> NumericalBreakdown:
     """A ``NumericalBreakdown`` naming the bracket at which the search
-    stopped, in the coordinates of the value being solved for (a
-    reflected search reports its bracket negated and swapped back)."""
-    if reflected:
+    stopped, in the coordinates of the value being solved for (the lower
+    side's bracket is kept negated and swapped, see ``_search``)."""
+    if side < 0:
         lo, hi = -hi, -lo
     return NumericalBreakdown(
         f"{what}: bracket [{lo:.17g}, {hi:.17g}], width {hi - lo:.3g}, tol {tol:.3g}"
     )
 
 
-def _feasibility_test(b: np.ndarray, t: float, best: bool = False):
-    """Decide whether ``(B - t I) w >= 0`` has a simplex point, and bound
-    the upper value of ``B`` from the side the answer certifies.
-
-    Returns ``(w, bound, eps)``.  Feasible: ``w`` has recomputed margin
-    ``min((B - t I) w) >= -slack``, and ``bound`` is its ratio
-    ``min (B w)_i / w_i`` over the support, a lower bound on the value.
-    Infeasible: ``w`` is None and ``bound`` is the dual cut
-    ``t + (max(G^T y) + slack sum(y)) / max(y)`` with ``G = B - t I`` and
-    ``y`` the LP dual, an upper bound on every ``s`` this test accepts:
-    a simplex ``w`` with ``min((B - s I) w) >= -slack`` has
-    ``-slack sum(y) <= y^T (B - s I) w <= max(G^T y) + (t - s) max(y)``.
-    Without the slack term, rounding in ``G^T y`` could cut below
-    accepted points once it exceeds ``tol`` (large ``||A||``).  Each bound
-    is recomputed with one fresh matvec.  ``eps`` is the recomputed margin
-    when an LP ran, else None.
-
-    Unless ``best`` is set, a single-coordinate vertex that already clears
-    the slack is returned without running the LP (the optimum can only be
-    better, so the decision is unchanged); ``best`` forces the max-margin
-    optimizer.
-    """
+def _shift(b: np.ndarray, t: float):
+    """``G = B - t I`` and the feasibility slack at ``t``."""
     # b - t I without forming I.  Subtracting 0 * t everywhere, as t * I
     # does off the diagonal, gives zero entries the same signs, and C
     # order the same summation order in later products.
     g = np.subtract(b, 0.0 * t, order="C")
     g.flat[:: b.shape[0] + 1] -= t
-    slack = _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
-    if not best:
-        col_margins = g.min(axis=0)
-        j = int(np.argmax(col_margins))
-        if col_margins[j] >= -slack:
-            w = np.zeros(g.shape[1])
-            w[j] = 1.0
-            return w, float(b[j, j]), None
-    sol = solve_max_eps(g)
-    w = sol.x_star
-    gw = g @ w
-    eps = float(gw.min())
-    if eps >= -slack:
-        sup = w > SUPPORT_TOL
-        return w, t + float((gw[sup] / w[sup]).min()), eps
-    y = sol.y_star
-    return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max()), eps
+    return g, _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
 
 
-def _upper_search(a: np.ndarray, b: np.ndarray, tol: float, reflected: bool = False):
-    """The upper value of ``b`` (``a`` in the cone's axes) to ``tol / 2``,
-    with the last feasible simplex point.
+def _answer(g: np.ndarray, t: float, slack: float, w: np.ndarray, y: np.ndarray):
+    """The upper side's answer at ``t`` from a simplex point ``w`` and a
+    weight ``y >= 0`` on the rows of ``G = B - t I``.
 
-    A certified-cut search on the bracket ``[lo, hi]``.  It starts from
-    the padded symmetric-part eigenvalues, which bound both values, so the
-    test at ``lo`` must be feasible and the one at ``hi`` infeasible; if
-    either is not, a ``NumericalBreakdown`` names that bracket.  A feasible
-    test lifts ``lo`` to the ratio of its ``w`` and an infeasible one
-    lowers ``hi`` to its dual cut, each clamped to the other end.  The
-    next ``t`` is the secant root of ``eps*(t)`` through the last two
-    LP-solved tests when that root lies at least ``tol / 4`` inside the
-    bracket and the previous step at least halved it (safeguarded as in
-    Crouzeix, Ferland and Schaible 1985); otherwise the midpoint.  The
-    search stops at width ``tol / 2``, not ``tol``: an upper and a
-    (reflected) lower value that coincide then come out at most ``tol``
-    apart, within the margin of ``bounds_check``.  It also stops when the
-    next ``t`` is not strictly inside ``(lo, hi)``, which happens only
-    where ``tol / 4`` is below the float spacing at the value: ``lo`` and
-    ``hi`` are adjacent floats, or the secant root rounds onto an end
-    (the secant then puts the value at that end, and ``hi`` can stay far
-    above ``lo``).  Both ends stay certified and ``lo`` is returned;
-    testing that ``t`` would decide nothing new.  ``reflected`` only names the bracket of an error in the
-    lower value's coordinates.
+    Returns ``(w, bound)`` when the recomputed margin ``min(G w)`` is at
+    least ``-slack``, with ``bound`` the ratio ``min (B w)_i / w_i`` over
+    the support, a lower bound on the value.  Otherwise ``(None, bound)``
+    with ``bound`` the dual cut ``t + (max(G^T y) + slack sum(y)) /
+    max(y)``, an upper bound on every ``s`` the test accepts: a simplex
+    ``w'`` with ``min((B - s I) w') >= -slack`` has ``-slack sum(y) <=
+    y^T (B - s I) w' <= max(G^T y) + (t - s) max(y)``.  Without the slack
+    term, rounding in ``G^T y`` could cut below accepted points once it
+    exceeds ``tol`` (large ``||A||``).  The lower side's answer is this
+    one on ``-G^T`` at ``-t`` with the roles of ``w`` and ``y`` swapped.
     """
-    lo, hi = _bracket(a)
-    w, lift, _ = _feasibility_test(b, lo)
-    wh, cut, eps = _feasibility_test(b, hi)
-    if w is None or wh is not None:
-        raise _breakdown("symmetric-part bracket does not hold the value", lo, hi, tol, reflected)
-    older, last = None, (hi, eps)  # (t, eps) of the last two LP-solved tests
-    hi = max(lo, min(hi, cut))
-    lo = max(lo, min(lift, hi))
-    steps = 0
-    halved = True
-    while hi - lo > 0.5 * tol:
-        steps += 1
-        if steps > _MAX_SEARCH_STEPS:
-            raise _breakdown(
-                f"search exceeded its step budget of {_MAX_SEARCH_STEPS} steps",
-                lo, hi, tol, reflected,
-            )
-        width = hi - lo
-        t = 0.5 * (lo + hi)
-        if halved and older is not None and last[1] != older[1]:
-            root = last[0] - last[1] * (last[0] - older[0]) / (last[1] - older[1])
-            if lo + 0.25 * tol <= root <= hi - 0.25 * tol:
-                t = root
-        if not lo < t < hi:
-            break  # float resolution: no new point to test
-        wt, bound, eps = _feasibility_test(b, t)
-        if wt is not None:
-            lo, w = max(t, min(bound, hi)), wt
-        else:
-            hi = max(lo, min(t, bound))
-        if eps is not None:
-            older, last = last, (t, eps)
-        halved = hi - lo <= 0.5 * width
-    # Re-solve strictly inside the certified bracket: at t = lo the LP can
-    # be exactly degenerate and return an arbitrary vertex of the optimal
-    # face, while just below it the max-margin objective selects the most
-    # interior optimizer (so interior quasi-eigenvectors are found when
-    # they exist).
-    wc, _, _ = _feasibility_test(b, lo - 0.5 * tol, best=True)
-    return lo, (w if wc is None else wc)
+    gw = g @ w
+    if gw.min() >= -slack:
+        sup = w > SUPPORT_TOL
+        return w, t + float((gw[sup] / w[sup]).min())
+    return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max())
+
+
+def _test(b: np.ndarray, t: float, needed):
+    """Test ``t`` for both sides: ``{side: (vector, bound)}`` and the LP's
+    recomputed margin ``min(G w)``, or None when no LP ran.
+
+    Side ``+1`` asks whether ``G w >= 0`` has a simplex point ``w``, side
+    ``-1`` whether ``G^T y <= 0`` has one, answered in its negated
+    coordinates (see ``_answer``).  Pure strategies decide a side without
+    an LP: a column with ``min(G e_j) >= -slack`` makes the upper side
+    feasible, a row with ``max(G^T e_i) <= slack`` the lower side;
+    ``min(G e_j) > slack`` certifies the lower side infeasible and
+    ``max(G^T e_i) < -slack`` the upper side.  The LP runs only when a
+    side in ``needed`` is still undecided, and its primal ``w`` and dual
+    ``y`` answer both sides: by LP duality ``(y, w)`` is an optimal pair
+    of ``solve_max_eps(-G^T)``.
+    """
+    g, slack = _shift(b, t)
+    cols, rows = g.min(axis=0), g.max(axis=1)
+    j, i = int(np.argmax(cols)), int(np.argmin(rows))
+    found = {}
+    if cols[j] >= -slack:
+        found[1] = (np.eye(1, g.shape[1], j)[0], float(b[j, j]))
+    elif rows[i] < -slack:
+        found[1] = (None, t + (float(rows[i]) + slack))
+    if rows[i] <= slack:
+        found[-1] = (np.eye(1, g.shape[0], i)[0], -float(b[i, i]))
+    elif cols[j] > slack:
+        found[-1] = (None, -t + (slack - float(cols[j])))
+    if all(side in found for side in needed):
+        return found, None
+    sol = solve_max_eps(g)
+    found.setdefault(1, _answer(g, t, slack, sol.x_star, sol.y_star))
+    found.setdefault(-1, _answer(-g.T, -t, slack, sol.y_star, sol.x_star))
+    return found, float((g @ sol.x_star).min())
+
+
+def _most_interior(b: np.ndarray, t: float, fallback: np.ndarray) -> np.ndarray:
+    """The max-margin optimizer at ``t`` if it passes the test, else
+    ``fallback``.  A cold LP on ``b`` itself: at the value the LP can be
+    exactly degenerate and return an arbitrary vertex of the optimal
+    face, while just inside the bracket Bland's rule on the max-margin
+    objective selects the most interior optimizer (so interior
+    quasi-eigenvectors are found when they exist)."""
+    g, slack = _shift(b, t)
+    w = solve_max_eps(g).x_star
+    return w if (g @ w).min() >= -slack else fallback
+
+
+def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
+    """Narrow each side's bracket by its answer to the test at ``t``.
+
+    In the side's coordinates ``ts`` (``t`` or ``-t``), a feasible answer
+    lifts ``lo`` to ``min(hi, max(ts, bound))`` and keeps its vector when
+    that raises ``lo``; an infeasible one lowers ``hi`` to ``max(lo,
+    min(ts, bound))``.  Both are monotone clamps, so a test at any ``t``,
+    inside the side's bracket or not, never widens it.
+    """
+    for side, (vec, bound) in found.items():
+        if side not in brackets:
+            continue
+        lo, hi = brackets[side]
+        ts = side * t
+        if vec is None:
+            brackets[side][1] = min(hi, max(lo, min(ts, bound)))
+            continue
+        lifted = min(hi, max(ts, bound))
+        if lifted > lo:
+            vectors[side], brackets[side][0] = vec, lifted
+
+
+def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
+    """The quasi-eigenvalues of ``b`` (``a`` in the cone's axes) named by
+    ``sides`` (``+1`` upper, ``-1`` lower), each to ``tol / 2``, as
+    ``[(value, local vector), ...]`` in the order of ``sides``.
+
+    One stream of tests serves both values (see ``_test``).  Each side
+    keeps a certified bracket ``[lo, hi]`` in its own coordinates, ``t``
+    for the upper side and ``-t`` for the lower one (see ``_narrow``).
+    Both brackets start from the padded symmetric-part eigenvalues, which
+    bound both values: at the low end the upper side must be feasible and
+    the lower side infeasible, at the high end the reverse; if not, a
+    ``NumericalBreakdown`` names that bracket.  The sides are then closed
+    in turn.  The next ``t`` in a side's bracket is the secant root of
+    ``eps*(t)`` through the last two LP-solved tests when that root lies
+    at least ``tol / 4`` inside the bracket and the side's previous step
+    at least halved it (safeguarded as in Crouzeix, Ferland and Schaible
+    1985); otherwise the midpoint.  A side stops at width ``tol / 2``, not
+    ``tol``: an upper and a lower value that coincide then come out at
+    most ``tol`` apart, within the margin of ``bounds_check``.  It also
+    stops when the next ``t`` is not strictly inside its bracket, which
+    happens only where ``tol / 4`` is below the float spacing at the
+    value: the ends are adjacent floats, or the secant root rounds onto
+    an end (the secant then puts the value at that end, and ``hi`` can
+    stay far above ``lo``).  Both ends stay certified and ``lo`` is
+    returned; testing that ``t`` would decide nothing new.  Each side has
+    a budget of ``_MAX_SEARCH_STEPS`` steps.
+    """
+    lo0, hi0 = _bracket(a)
+    brackets = {side: [lo0, hi0] if side > 0 else [-hi0, -lo0] for side in sides}
+    ends = [_test(b, t, sides) for t in (lo0, hi0)]
+    vectors = {}
+    for side in sides:
+        # The answers at the side's own lo and hi (the lower side's lo is -hi0).
+        (w, _), (wh, _) = (found[side] for found, _ in (ends if side > 0 else ends[::-1]))
+        if w is None or wh is not None:
+            raise _breakdown("symmetric-part bracket does not hold the value", *brackets[side], tol, side)
+        vectors[side] = w
+    for t, (found, _) in zip((lo0, hi0), ends):
+        _narrow(brackets, vectors, t, found)
+    # (t, eps) of the last two LP-solved tests.  Only the last end seeds
+    # it, so the first step is a midpoint, not a secant across the whole
+    # symmetric-part bracket.
+    history = [(t, eps) for t, (_, eps) in zip((lo0, hi0), ends) if eps is not None][-1:]
+
+    def width(side):
+        return brackets[side][1] - brackets[side][0]
+
+    for k, side in enumerate(sides):
+        steps = 0
+        halved = True
+        while width(side) > 0.5 * tol:
+            lo, hi = brackets[side]
+            steps += 1
+            if steps > _MAX_SEARCH_STEPS:
+                raise _breakdown(
+                    f"search exceeded its step budget of {_MAX_SEARCH_STEPS} steps", lo, hi, tol, side
+                )
+            t = 0.5 * (lo + hi)
+            if halved and len(history) == 2 and history[0][1] != history[1][1]:
+                (t0, e0), (t1, e1) = history
+                root = side * (t1 - e1 * (t1 - t0) / (e1 - e0))
+                if lo + 0.25 * tol <= root <= hi - 0.25 * tol:
+                    t = root
+            if not lo < t < hi:
+                break  # float resolution: no new point to test
+            needed = [s for s in sides[k:] if width(s) > 0.5 * tol]
+            found, eps = _test(b, side * t, needed)
+            _narrow(brackets, vectors, side * t, found)
+            if eps is not None:
+                history = [*history[-1:], (side * t, eps)]
+            halved = width(side) <= 0.5 * (hi - lo)
+    out = []
+    for side in sides:
+        lo = brackets[side][0]
+        w = _most_interior(b if side > 0 else -b.T, lo - 0.5 * tol, vectors[side])
+        out.append((lo if side > 0 else 0.0 - lo, w))  # 0.0 - lo: no -0.0
+    return out
 
 
 def _solver_input(a, tol: float) -> np.ndarray:
@@ -318,33 +398,38 @@ def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.
     irreducible inputs approach linearly and meet the stated tolerance.
     """
     a = _solver_input(a, tol)
-    value, w = _upper_search(a, _local_problem(a, cone), tol)
+    [(value, w)] = _search(a, _local_problem(a, cone), tol, (1,))
     return value, cone.from_local(w)
 
 
 def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """The lower quasi-eigenvalue and a unit-norm left quasi-eigenvector.
 
-    Solved by reflection, ``lower_C(A) = -upper_C(-A^T)``: in the cone's
-    axes the upper search on ``-B^T`` tests ``(B^T - t I) z <= 0`` at
-    ``-t``, so its value and vector are the lower ones.
+    The value is the upper end of its own certified bracket: a ratio
+    ``max (B^T z)_i / z_i`` of a simplex point with ``B^T z <= t z`` (up
+    to the slack) above, a cut from the LP's primal point below.  ``v``
+    certifies it: ``inner_sup(a, cone, v) <= value + 2 * tol``.
     """
     a = _solver_input(a, tol)
-    value, z = _upper_search(-a.T, -_local_problem(a, cone).T, tol, reflected=True)
+    [(value, z)] = _search(a, _local_problem(a, cone), tol, (-1,))
     v = cone.from_local(z)
-    return 0.0 - value, v / np.linalg.norm(v)  # 0.0 - x: no -0.0
+    return value, v / np.linalg.norm(v)
 
 
 def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     """Both quasi-eigenvalues, interiority flags, saddle status, and
-    eigen-residuals in one report.
+    eigen-residuals in one report.  One search serves both values: each
+    LP it solves answers the upper test by its primal and the lower test
+    by its dual.
 
     Interiority uses margin ``10 * tol`` to separate genuine interior
     vectors from boundary-within-noise ones.
     """
-    a = as_matrix(a)
-    lam_up, u = upper_quasi_eigenvalue(a, cone, tol)
-    lam_lo, v = lower_quasi_eigenvalue(a, cone, tol)
+    a = _solver_input(as_matrix(a), tol)
+    (lam_up, w), (lam_lo, z) = _search(a, _local_problem(a, cone), tol, (1, -1))
+    u = cone.from_local(w)
+    v = cone.from_local(z)
+    v = v / np.linalg.norm(v)
     u_int = contains(cone, u, tol=10.0 * tol).in_interior
     v_int = contains(cone, v, tol=10.0 * tol).in_interior
     saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol

@@ -251,7 +251,21 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
-_SOLVES = ("upper_quasi_eigenvalue", "lower_quasi_eigenvalue")
+def _count_sides(monkeypatch):
+    """Count the values requested from the quasi-eigenvalue search, by
+    side (a pair requests both); returns the live counts."""
+    import quasieig.quasi as quasi_module
+
+    counts = {"upper": 0, "lower": 0}
+    search = quasi_module._search
+
+    def counted(a, b, tol, sides):
+        for side in sides:
+            counts["upper" if side > 0 else "lower"] += 1
+        return search(a, b, tol, sides)
+
+    monkeypatch.setattr(quasi_module, "_search", counted)
+    return counts
 
 
 def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
@@ -266,12 +280,14 @@ def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
 
     p = tmp_path / "isc4.json"
     p.write_text(emit_matrix(random_isc(np.random.default_rng(55), 4, sign=1)))
-    counts = _count_calls(monkeypatch, *_SOLVES, "classify", "eig_oracle")
+    counts = _count_calls(monkeypatch, "classify", "eig_oracle")
+    sides = _count_sides(monkeypatch)
     for spec, expected in (("orthant", 6), ("rotation:3", 8)):
         counts.update(dict.fromkeys(counts, 0))
+        sides.update(dict.fromkeys(sides, 0))
         code, _ = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec=spec))
         assert code == 0
-        assert sum(counts[side] for side in _SOLVES) == expected, (spec, counts)
+        assert sum(sides.values()) == expected, (spec, sides)
         assert counts["classify"] == 1, (spec, counts)
         assert counts["eig_oracle"] <= 1, (spec, counts)
 
@@ -285,11 +301,38 @@ def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
     # vectors are on the boundary, so no perturbed pair), that is five.
     p = tmp_path / "reducible.json"
     p.write_text('{"n": 3, "rows": [[1, 1, 0], [0, 2, 0], [0.5, 0, 0.7]]}')
-    counts = _count_calls(monkeypatch, *_SOLVES)
+    sides = _count_sides(monkeypatch)
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
     assert code == 0
     assert rep["flags"]["nonnegative"] and not rep["flags"]["isc"]
-    assert counts == {"upper_quasi_eigenvalue": 3, "lower_quasi_eigenvalue": 2}
+    assert sides == {"upper": 3, "lower": 2}
+
+
+def test_verify_takes_the_norm_of_a_normal_matrix_once(tmp_path, monkeypatch):
+    # A symmetric positive matrix is normal with interior quasi-eigenvectors,
+    # so both the canonical form and the perturbation's scale need its
+    # spectral norm; they share one.
+    import quasieig.analysis as analysis_module
+    import quasieig.cli as cli_module
+
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    p = tmp_path / "sym.json"
+    p.write_text(emit_matrix(m))
+    norms = []
+    norm = quasieig.operator_norm
+
+    def counted(x):
+        if np.array_equal(x, m):
+            norms.append(1)
+        return norm(x)
+
+    for mod in (analysis_module, cli_module):
+        monkeypatch.setattr(mod, "operator_norm", counted)
+    code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p)))
+    assert code == 0
+    names = {r["name"] for r in rep["theorem_reports"]}
+    assert {"normal_cone_classification", "perturbation_bounds"} <= names, names
+    assert len(norms) == 1
 
 
 def test_normal_classifies_and_decomposes_the_matrix_once(tmp_path, monkeypatch):

@@ -186,3 +186,15 @@ def test_kernel_matches_frozen_reference_bit_for_bit():
         assert np.array_equal(sol.x_star, x), i
         assert np.array_equal(sol.y_star, y), i
         assert sol.x_star.tobytes() == x.tobytes() and sol.y_star.tobytes() == y.tobytes(), i
+
+
+def test_transposed_game_has_the_negated_value():
+    # LP duality (von Neumann's minimax theorem): max_x min(G x) over the
+    # simplex equals min_y max(G^T y), so the max-margin LP of -G^T has
+    # optimum -eps* and G's own dual y among its optimizers.  The
+    # quasi-eigenvalue search reads its lower test off G's LP on this.
+    for i, g in enumerate(_bit_identity_inputs()):
+        sol = solve_max_eps(g)
+        flipped = solve_max_eps(-g.T)
+        assert abs(flipped.eps_star + sol.eps_star) <= 1e-12 * float(np.max(np.abs(g))), i
+        assert float((g.T @ sol.y_star).max()) <= sol.eps_star + 1e-9, i

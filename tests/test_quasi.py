@@ -312,14 +312,16 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     assert len(solves) <= 60
 
     # The step budget still names where it stopped: the bracket, which
-    # holds the value, and the step count.
+    # holds the value, and the step count.  The lower value's search names
+    # its own bracket, in the value's coordinates.
     monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
-    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
-        quasi_pair(a, Cone.orthant(4))
-    found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc.value))
-    assert found, str(exc.value)
-    lo, hi = float(found.group(1)), float(found.group(2))
-    assert lo <= rho <= hi
+    for fn in (quasi_pair, lower_quasi_eigenvalue):
+        with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
+            fn(a, Cone.orthant(4))
+        found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc.value))
+        assert found, str(exc.value)
+        lo, hi = float(found.group(1)), float(found.group(2))
+        assert lo <= rho <= hi
 
 
 def _homogeneity_cases():
@@ -410,3 +412,95 @@ def test_isc_values_within_half_tol_of_the_eigenvalue():
         r = quasi_pair(a, Cone.orthant(n))
         assert abs(r.lambda_upper - target) <= 0.5 * r.tol, (k, r.lambda_upper - target)
         assert abs(r.lambda_lower - target) <= 0.5 * r.tol, (k, r.lambda_lower - target)
+
+
+def _pair_cases():
+    """Seeded unit-scale matrices of every family the search meets, over
+    the orthant and a rotated cone each: generic, ISC of both signs,
+    Metzler, Perron, normal, reducible block-triangular, n = 1 and both
+    paper examples."""
+    from helpers import random_metzler, random_normal_matrix
+
+    def reducible(rng, n):
+        a = random_irreducible_nonneg(rng, n)
+        a[n // 2:, : n // 2] = 0.0
+        return a
+
+    families = {
+        "generic": random_matrix,
+        "isc+": lambda rng, n: random_isc(rng, n, 1),
+        "isc-": lambda rng, n: random_isc(rng, n, -1),
+        "metzler": random_metzler,
+        "perron": random_irreducible_nonneg,
+        "normal": lambda rng, n: random_normal_matrix(rng, n)[0],
+        "reducible": reducible,
+        "n1": lambda rng, n: rng.uniform(-2.0, 2.0, (1, 1)),
+        "paper1": lambda rng, n: EX1,
+        "paper2": lambda rng, n: EX2,
+    }
+    rng = np.random.default_rng(31)
+    cases = []
+    for name, make in families.items():
+        for k in range(2):
+            n = 1 if name == "n1" else 2 if name.startswith("paper") else int(rng.integers(2, 7))
+            a = make(rng, n)
+            cases.append((f"{name}-{'rotated' if k else 'orthant'}", a,
+                          random_cone(rng, n) if k else Cone.orthant(n)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _pair_cases(), ids=lambda case: case[0])
+def test_pair_agrees_with_the_one_sided_values(case):
+    # quasi_pair closes both brackets from one stream of LPs; each value
+    # must still be the one its own search finds, to tol * max(1, ||A||),
+    # and both vectors must certify their values.
+    _, a, cone = case
+    r = quasi_pair(a, cone)
+    tau = r.tol * max(1.0, np.linalg.norm(a, 2))
+    assert abs(r.lambda_upper - upper_quasi_eigenvalue(a, cone)[0]) <= tau
+    assert abs(r.lambda_lower - lower_quasi_eigenvalue(a, cone)[0]) <= tau
+    assert inner_inf(a, cone, r.u_right) >= r.lambda_upper - 2.0 * r.tol
+    assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * r.tol
+
+
+def test_pair_closes_two_separate_brackets_exactly():
+    # diag(2, 1) over the orthant: the values 2 and 1 are the two ends of
+    # the zero set of eps*(t), a whole interval, so the one stream must
+    # close two brackets that never meet.  Both come out exactly.
+    r = quasi_pair(EX1, ORTHANT2)
+    assert (r.lambda_upper, r.lambda_lower) == (2.0, 1.0)
+    assert upper_quasi_eigenvalue(EX1, ORTHANT2)[0] == 2.0
+    assert lower_quasi_eigenvalue(EX1, ORTHANT2)[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "a, pair_lps, one_sided_lps",
+    [(EX1, 4, (2, 2)), (EX2, 2, (1, 1)), (random_isc(np.random.default_rng(55), 4), 14, (13, 13))],
+    ids=["example1", "example2", "isc55"],
+)
+def test_pair_lp_counts(monkeypatch, a, pair_lps, one_sided_lps):
+    # Each LP of the pair's search answers the upper test by its primal and
+    # the lower test by its dual, so the pair never costs more LPs than its
+    # two one-sided searches, and costs fewer wherever the search steps
+    # inside the bracket (12 of 26 on isc55).  The paper examples take no
+    # such step: their LPs are the final re-solve of each value and, in
+    # example 1, whose values are far apart, one LP at each end of the
+    # bracket that only one value needs.  The counts are exact: Bland's
+    # rule is deterministic.
+    import quasieig.quasi as quasi_module
+
+    solves = []
+    solve = quasi_module.solve_max_eps
+
+    def counting(g):
+        solves.append(1)
+        return solve(g)
+
+    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    counts = []
+    for fn in (quasi_pair, upper_quasi_eigenvalue, lower_quasi_eigenvalue):
+        solves.clear()
+        fn(a, Cone.orthant(a.shape[0]))
+        counts.append(len(solves))
+    assert counts == [pair_lps, *one_sided_lps]
+    assert pair_lps <= sum(one_sided_lps)
