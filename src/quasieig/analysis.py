@@ -548,7 +548,9 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
 
 def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
     """Both quasi-eigenvalues are unchanged by an orthogonal change of
-    variables applied to the matrix and the cone together."""
+    variables applied to the matrix and the cone together, to
+    ``2 * tol * max(1, ||A||)``.  The bound scales with ``||A||`` because
+    from ``||A||`` about 1e7 on each search stops at float resolution."""
     facts = _facts(a)
     u = as_matrix(u)
     if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:
@@ -559,12 +561,13 @@ def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
         abs(pair.lambda_upper - conj.lambda_upper),
         abs(pair.lambda_lower - conj.lambda_lower),
     )
+    rhs = 2.0 * tol * max(1.0, facts.norm)
     return TheoremReport(
         name="orthogonal_invariance",
-        holds=dev <= 2.0 * tol,
+        holds=dev <= rhs,
         lhs=dev,
-        rhs=2.0 * tol,
-        slack=2.0 * tol - dev,
+        rhs=rhs,
+        slack=rhs - dev,
         details=(
             f"upper: {_fmt(pair.lambda_upper)} vs {_fmt(conj.lambda_upper)}; "
             f"lower: {_fmt(pair.lambda_lower)} vs {_fmt(conj.lambda_lower)}"

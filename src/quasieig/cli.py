@@ -199,7 +199,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             tol=config.tol,
             seed=config.seed,
         )
-        reps = _COMMANDS[config.subcommand](config, m, cone, report)
+        reps = _COMMANDS[config.subcommand][0](config, m, cone, report)
     except (QuasiEigError, OSError) as exc:
         report["error"] = str(exc)
         return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), report
@@ -300,16 +300,28 @@ def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
     return reps
 
 
+# Each row names a subcommand's runner and the options it reads besides
+# --matrix and --json; any other option is a usage error.
 _COMMANDS = {
-    "quasi": _quasi,
-    "classify": _classify,
-    "perron": lambda config, m, cone, report: [analysis.perron_check(m, config.tol)],
-    "maxre": lambda config, m, cone, report: [analysis.max_re_check(m, config.tol)],
-    "perturb": _perturb,
-    "normal": _normal,
-    "invariance": _invariance,
-    "oracle": _oracle,
-    "verify": _verify,
+    "quasi": (_quasi, ("cone", "tol")),
+    "classify": (_classify, ()),
+    "perron": (lambda config, m, cone, report: [analysis.perron_check(m, config.tol)], ("tol",)),
+    "maxre": (lambda config, m, cone, report: [analysis.max_re_check(m, config.tol)], ("tol",)),
+    "perturb": (_perturb, ("cone", "tol", "perturbation")),
+    "normal": (_normal, ("cone", "tol")),
+    "invariance": (_invariance, ("cone", "tol", "seed")),
+    "oracle": (_oracle, ("cone", "grid")),
+    "verify": (_verify, ("cone", "tol", "seed")),
+}
+
+# Each option's flag is ``--`` plus its key.  Its default is the RunConfig
+# field's: the parser leaves an option it was not given unset.
+_OPTIONS = {
+    "cone": dict(dest="cone_spec", help="'orthant', 'rotation:SEED' or an orthogonal matrix file"),
+    "tol": dict(type=float, help="search tolerance, in (0, 1e-2]"),
+    "grid": dict(dest="grid_k", type=int, help="grid steps per simplex edge, at least 10"),
+    "seed": dict(type=int, help="seed of the random orthogonal change of variables"),
+    "perturbation": dict(dest="perturbation_path", required=True, help="perturbation matrix file"),
 }
 
 
@@ -340,31 +352,18 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="quasieig", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
+    for name, (_, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument(
             "--matrix", required=True, dest="matrix_path", metavar="MATRIX",
             help="matrix file (JSON or text)",
         )
+        for option in options:
+            sp.add_argument(f"--{option}", metavar=option.upper(), **_OPTIONS[option])
         sp.add_argument(
-            "--cone",
-            default="orthant",
-            dest="cone_spec",
-            metavar="CONE",
-            help="'orthant', 'rotation:SEED', or a path to an orthogonal matrix file",
-        )
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--grid", type=int, default=2000, dest="grid_k")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--json", action="store_const", const="json", default="human", dest="output",
+            "--json", action="store_const", const="json", dest="output",
             help="emit a JSON report",
         )
-        if name == "perturb":
-            sp.add_argument(
-                "--perturbation", required=True, dest="perturbation_path",
-                metavar="PERTURBATION", help="perturbation matrix file",
-            )
     return p
 
 

@@ -70,7 +70,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .lp import solve_max_eps
-from .matcore import MAX_EIG_DIM, as_matrix, as_vector, operator_norm, symmetric_part_eigs
+from .matcore import as_matrix, as_vector, operator_norm, symmetric_part_eigs
 
 #: Local coordinates at or below this are treated as zero by the inner
 #: closed forms; prevents catastrophic ratios at numerically-zero support.
@@ -369,10 +369,7 @@ def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
 def _solver_input(a, tol: float) -> np.ndarray:
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a = as_matrix(a)
-    if a.shape[0] > MAX_EIG_DIM:
-        raise UnsupportedDimension(f"restricted to n <= {MAX_EIG_DIM}")
-    return a
+    return as_matrix(a)
 
 
 def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:

@@ -342,6 +342,25 @@ def test_invariance_check_examples():
 
     with pytest.raises(NotOrthogonal):
         invariance_check(np.eye(2), ORTHANT2, [[1.0, 1.0], [0.0, 1.0]])
+    rep = invariance_check(np.diag([0.5, 0.25]), ORTHANT2, givens_rotation(2, 0, 1, 0.3))
+    assert rep.holds and rep.rhs == 2e-9  # ||A|| <= 1: the absolute 2 tol
+
+
+@pytest.mark.parametrize(
+    "seed, family, cone_seed",
+    [(1, "perron", None), (0, "generic", 3), (2, "perron", 11), (2, "generic", None)],
+)
+def test_invariance_check_at_large_scale_reads_no_rounding(seed, family, cone_seed):
+    # At ||A|| ~ 1e7 the two searches stop at float resolution, so the pairs
+    # differ by a few ulps of ||A||, far beyond an absolute 2 tol.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    gen = random_irreducible_nonneg if family == "perron" else random_matrix
+    a = 1e7 * gen(rng, n)
+    cone = Cone.orthant(n) if cone_seed is None else Cone.rotated(random_orthogonal(n, cone_seed))
+    rep = invariance_check(a, cone, random_orthogonal(n, seed + 100))
+    assert rep.rhs == 2e-9 * operator_norm(a)
+    assert rep.holds and rep.lhs <= 1e-12 * operator_norm(a), rep
 
 
 def test_perron_random_irreducible_nonneg_small_suite():

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import quasieig
 from quasieig import Cone, DimensionMismatch, NonFinite, ParseError, perturbation_bound_check
+from quasieig import cli
 from quasieig.cli import RunConfig, emit_json, emit_matrix, main, parse_matrix_file, run
 
 
@@ -409,3 +411,51 @@ def test_quasi_at_large_scale_exits_0(tmp_path, capsys):
     assert main(["quasi", "--matrix", str(f), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["lambda_upper"] - 6e14**0.5) <= 1e-12 * 6e14**0.5
+
+
+# A value other than RunConfig's default for each option a test sets.
+_NON_DEFAULT = {"cone": "rotation:3", "tol": "1e-6", "grid": "50", "seed": "4"}
+
+
+def _argv(tmp_path, sub):
+    """``sub`` on a symmetric positive matrix (nonnegative, ISC and normal,
+    so every checker applies), with the perturbation ``perturb`` needs."""
+    p = tmp_path / "a.json"
+    p.write_text('{"n": 3, "rows": [[2, 1, 0.5], [1, 3, 1], [0.5, 1, 1]]}')
+    d = tmp_path / "d.json"
+    d.write_text('{"n": 3, "rows": [[0, 0.01, 0], [0.01, 0, 0], [0, 0, 0.01]]}')
+    extra = ["--perturbation", str(d)] if "perturbation" in cli._COMMANDS[sub][1] else []
+    return [sub, "--matrix", str(p), "--json", *extra]
+
+
+@pytest.mark.parametrize(
+    "sub, option",
+    [(s, o) for s, (_, opts) in cli._COMMANDS.items() for o in opts if o != "perturbation"],
+)
+def test_each_option_a_subcommand_takes_changes_its_report(tmp_path, capsys, sub, option):
+    reports = []
+    for extra in ([], [f"--{option}", _NON_DEFAULT[option]]):
+        main([*_argv(tmp_path, sub), *extra])
+        report = json.loads(capsys.readouterr().out)
+        reports.append({k: v for k, v in report.items() if k not in ("tol", "seed")})
+    assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize(
+    "sub, option",
+    [(s, o) for s, (_, opts) in cli._COMMANDS.items() for o in cli._OPTIONS if o not in opts],
+)
+def test_an_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, sub, option):
+    value = _NON_DEFAULT.get(option, str(tmp_path / "a.json"))
+    assert main([*_argv(tmp_path, sub), f"--{option}", value]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("usage error") and "Traceback" not in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("sub", list(cli._COMMANDS))
+def test_help_lists_only_the_options_a_subcommand_takes(capsys, sub):
+    with pytest.raises(SystemExit):
+        main([sub, "--help"])
+    flags = set(re.findall(r"--\w+", capsys.readouterr().out))
+    assert flags == {"--help", "--matrix", "--json", *(f"--{o}" for o in cli._COMMANDS[sub][1])}

@@ -414,6 +414,16 @@ def test_isc_values_within_half_tol_of_the_eigenvalue():
         assert abs(r.lambda_lower - target) <= 0.5 * r.tol, (k, r.lambda_lower - target)
 
 
+def test_search_has_no_dimension_limit():
+    # The search needs only eigvalsh, one SVD and the LP, none limited to
+    # the eigenvalue oracle's n <= 64.
+    a = random_irreducible_nonneg(np.random.default_rng(65), 65)
+    rho = max(abs(np.linalg.eigvals(a)))
+    r = quasi_pair(a, Cone.orthant(65))
+    assert abs(r.lambda_upper - rho) <= 1e-9 * rho
+    assert abs(r.lambda_lower - rho) <= 1e-9 * rho
+
+
 def _pair_cases():
     """Seeded unit-scale matrices of every family the search meets, over
     the orthant and a rotated cone each: generic, ISC of both signs,
