@@ -72,11 +72,9 @@ from .quasi import (
     brute_minimax,
     inner_inf,
     inner_sup,
-    lower_quasi_eigenvalue,
     quasi_pair,
     quasilinearity_probe,
     rayleigh,
-    upper_quasi_eigenvalue,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,7 +7,10 @@ bound is data, and so is an unmet hypothesis (``applicable=False``, which
 the CLI maps to its own exit code), except in ``theorem4_classify``
 (``NotNormal``) and ``cone_continuity_experiment`` (``NotInterior``).
 Each checker takes a matrix or a ``MatrixFacts`` record; checkers handed
-one record share its solves and matrix facts.
+one record share its solves and matrix facts.  Every comparison a
+checker makes against ``tol`` is made at ``tol * max(1, ||A||)``: from
+``||A||`` about 1e7 on each search stops at float resolution, and
+rounding in the values grows with ``||A||``.
 """
 
 import json
@@ -20,7 +23,7 @@ import numpy as np
 from .cones import Cone, cone_metric, givens_rotation, span_meets_interior
 from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal, NotOrthogonal
 from .matcore import as_matrix, classify, eig_oracle, operator_norm, symmetric_part_eigs
-from .quasi import QuasiEigenResult, quasi_pair, upper_quasi_eigenvalue
+from .quasi import QuasiEigenResult, quasi_pair
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class MatrixFacts:
     def __init__(self, a):
         self.a = as_matrix(a)
         self._pairs = {}
-        self._uppers = {}
 
     @cached_property
     def flags(self):
@@ -112,18 +114,14 @@ class MatrixFacts:
             self._pairs[key] = quasi_pair(self.a, cone, tol)
         return self._pairs[key]
 
-    def orthant_upper(self, tol: float) -> float:
-        """The orthant pair's upper value if that pair is solved, else the
-        upper value solved alone: solving the lower too could raise needlessly."""
-        if (None, tol) in self._pairs:
-            return self._pairs[None, tol].lambda_upper
-        if tol not in self._uppers:
-            self._uppers[tol] = upper_quasi_eigenvalue(self.a, Cone.orthant(len(self.a)), tol)[0]
-        return self._uppers[tol]
-
 
 def _facts(a) -> MatrixFacts:
     return a if isinstance(a, MatrixFacts) else MatrixFacts(a)
+
+
+def _tau(facts: MatrixFacts, tol: float) -> float:
+    """``tol * max(1, ||A||)``, the unit of every checker's comparisons."""
+    return tol * max(1.0, facts.norm)
 
 
 def _fmt(x: float) -> str:
@@ -163,13 +161,14 @@ def _orthant_identity_check(name: str, a, tol: float) -> TheoremReport:
     facts = _facts(a)
     if not getattr(facts.flags, flag):
         return _not_applicable(name, why_not)
-    lam = facts.orthant_upper(tol)
+    lam = facts.pair(Cone.orthant(facts.a.shape[0]), tol).lambda_upper
+    tau = _tau(facts, tol)
     values = [functional(val) for val, _ in facts.eigs]
     bound = max(values)
-    holds = lam >= bound - tol
+    holds = lam >= bound - tau
     details = f"upper={_fmt(lam)} {label}={_fmt(bound)}"
-    if min(abs(lam - x) for x in values) <= tol:
-        holds = holds and abs(lam - bound) <= tol
+    if min(abs(lam - x) for x in values) <= tau:
+        holds = holds and abs(lam - bound) <= tau
         details += f"; equality branch (value matches an eigenvalue {match})"
     return TheoremReport(
         name=name,
@@ -210,13 +209,14 @@ def isc_check(a, tol: float = 1e-9) -> TheoremReport:
     if not facts.flags.isc:
         return _not_applicable("isc_saddle", "matrix is not irreducible sign-constant")
     pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
+    tau = _tau(facts, tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
     simple = _eig_is_simple(facts.eigs, pair.lambda_upper)
     holds = (
         pair.is_saddle
         and pair.u_interior
         and pair.v_interior
-        and max_res <= 100.0 * tol
+        and max_res <= 100.0 * tau
         and simple
     )
     details = (
@@ -228,7 +228,7 @@ def isc_check(a, tol: float = 1e-9) -> TheoremReport:
         holds=holds,
         lhs=pair.lambda_upper,
         rhs=pair.lambda_lower,
-        slack=100.0 * tol - max_res,
+        slack=100.0 * tau - max_res,
         details=details,
     )
 
@@ -310,7 +310,7 @@ def perturbation_bound_check(a, cone: Cone, d, tol: float = 1e-9) -> TheoremRepo
 
     _, lhs_b, rhs_b = min(checks, key=lambda c: c[2] - c[1])
     slack = rhs_b - lhs_b
-    holds = slack >= -tol
+    holds = slack >= -_tau(facts, tol)
     details = "; ".join(
         f"{nm}: lhs={_fmt(lhs)} rhs={_fmt(rhs)}" for nm, lhs, rhs in checks
     ) + f"; perturbation_sign={sign}"
@@ -391,7 +391,7 @@ def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     slack = min(margins)
     return TheoremReport(
         name="spectral_sandwich",
-        holds=slack >= -tol,
+        holds=slack >= -_tau(facts, tol),
         lhs=pair.lambda_lower,
         rhs=pair.lambda_upper,
         slack=slack,
@@ -490,6 +490,16 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
     return form
 
 
+def _axes_in_subspaces(form: NormalCanonicalForm, cone: Cone) -> bool:
+    """Each axis of the cone lies in one invariant subspace of the
+    canonical form: the cone is the canonical form's orthant, up to a
+    rotation inside each 2-plane and an order of the axes."""
+    n = form.u_a.shape[0]
+    starts = [*range(0, 2 * form.l, 2), *range(2 * form.l, n)]
+    mass = np.add.reduceat((form.u_a.T @ cone.basis) ** 2, starts, axis=0)
+    return bool((mass.max(axis=0) >= 1.0 - 1e-8).all())
+
+
 def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     """Predict both quasi-eigenvalues of a normal matrix from which
     invariant subspaces of its canonical form meet the open cone, then
@@ -498,16 +508,19 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     No subspace meeting the interior predicts the full real-part range;
     a meeting subspace pins both values to its eigenvalue real part.
 
-    The subspace rule is exact when the cone is compatible with the
-    canonical axes (the conjugated orthant), in dimension 2, and whenever
-    a one-dimensional subspace (a genuine eigenvector) meets the
-    interior.  For other cone placements a rotation 2-plane can cut the
-    open cone with neither of its axes inside, and the true values then
-    fall strictly between the eigenvalue real parts; the report carries
-    the discrepancy (``holds=False``) rather than raising.
+    The rule is proven in three cases, and the report applies only in
+    them: in dimension 1 and 2; when a one-dimensional subspace (a real
+    eigenvector, which is a right and a left eigenvector at once) meets
+    the open cone; and when the cone is the canonical form's orthant
+    (``_axes_in_subspaces``), where no subspace meets it.  Elsewhere a
+    rotation 2-plane can cut the open cone with neither of its axes
+    inside, or no subspace meets it at all, and the true values can fall
+    strictly between the eigenvalue real parts: the report is then not
+    applicable.
     """
     facts = _facts(a)
     form = facts.form
+    n = facts.a.shape[0]
     subspaces: list[tuple[float, list[np.ndarray]]] = []
     for i, (r, theta) in enumerate(form.rotation_blocks):
         cols = [form.u_a[:, 2 * i], form.u_a[:, 2 * i + 1]]
@@ -517,19 +530,25 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
 
     meets = [span_meets_interior(cone, cols) is not None for _, cols in subspaces]
     re_parts = [re for re, _ in subspaces]
-    hit = [re for re, m in zip(re_parts, meets) if m]
-    consistent = True
+    # Past dimension 2 only a real eigenvector pins the values.  At most
+    # one subspace is hit: no two orthogonal vectors lie inside the cone.
+    hit = [re for (re, cols), m in zip(subspaces, meets) if m and (n <= 2 or len(cols) == 1)]
     if hit:
         case = "interior-subspace"
         pred_up = pred_lo = hit[0]
-        consistent = max(hit) - min(hit) <= 10.0 * tol
-    else:
+    elif n <= 2 or _axes_in_subspaces(form, cone):
         case = "boundary-only"
         pred_up, pred_lo = max(re_parts), min(re_parts)
+    else:
+        return _not_applicable(
+            "normal_cone_classification",
+            "no real eigenvector meets the open cone, which is not the canonical form's orthant "
+            f"(meets={meets})",
+        )
 
     pair = facts.pair(cone, tol)
+    tau = _tau(facts, tol)
     dev = max(abs(pair.lambda_upper - pred_up), abs(pair.lambda_lower - pred_lo))
-    holds = consistent and dev <= 10.0 * tol
     mixed = form.l > 0 and len(form.real_eigs) > 0
     details = (
         f"case={case} predicted=[{_fmt(pred_lo)}, {_fmt(pred_up)}] "
@@ -538,10 +557,10 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     )
     return TheoremReport(
         name="normal_cone_classification",
-        holds=holds,
+        holds=dev <= 10.0 * tau,
         lhs=dev,
-        rhs=10.0 * tol,
-        slack=10.0 * tol - dev,
+        rhs=10.0 * tau,
+        slack=10.0 * tau - dev,
         details=details,
     )
 
@@ -561,7 +580,7 @@ def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
         abs(pair.lambda_upper - conj.lambda_upper),
         abs(pair.lambda_lower - conj.lambda_lower),
     )
-    rhs = 2.0 * tol * max(1.0, facts.norm)
+    rhs = 2.0 * _tau(facts, tol)
     return TheoremReport(
         name="orthogonal_invariance",
         holds=dev <= rhs,

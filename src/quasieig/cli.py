@@ -272,17 +272,13 @@ def _oracle(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
 
 def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
     """Run every checker for one matrix on one ``MatrixFacts`` record, so
-    each instance is solved and each fact derived once.  The ISC check's
-    orthant pair is solved first, so the Perron and max-real-part checks
-    read their upper value from it."""
+    each instance is solved and each fact derived once."""
     tol = config.tol
     facts = analysis.MatrixFacts(m)
     pair = facts.pair(cone, tol)
     _fill_quasi(report, pair)
     flags = facts.flags
     report["flags"].update(asdict(flags))
-    if flags.isc:
-        facts.pair(Cone.orthant(m.shape[0]), tol)
     reps = [
         analysis.bounds_check(facts, cone, tol),
         analysis.perron_check(facts, tol),
@@ -300,7 +296,7 @@ def _verify(config: RunConfig, m: np.ndarray, cone: Cone, report: dict) -> list:
     return reps
 
 
-# Each row names a subcommand's runner and the options it reads besides
+# Each row names a subcommand's runner and the options it reads apart from
 # --matrix and --json; any other option is a usage error.
 _COMMANDS = {
     "quasi": (_quasi, ("cone", "tol")),

@@ -14,7 +14,7 @@ question the quasi-eigenvalue search asks at every step.  Its dual,
     subject to  G^T y <= mu * 1,   sum(y) = 1,   y >= 0,
 
 has the same optimum; the optimal ``y`` comes back with the solution,
-so one solve bounds a caller's question from both sides.
+so one solve bounds a caller's question from above and below.
 
 Implementation notes:
 

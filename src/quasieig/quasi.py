@@ -86,6 +86,10 @@ _FEAS_TOL = 256.0 * np.finfo(float).eps
 
 _MAX_SEARCH_STEPS = 200
 
+# The two values by their side, in the order the search closes them:
+# ``+1`` the upper value, ``-1`` the lower one.
+_BOTH = (1, -1)
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class QuasiEigenResult:
@@ -169,10 +173,13 @@ def inner_sup(a, cone: Cone, v) -> float:
     return 0.0 - _closed_inf(-_local_problem(a, cone).T, cone.to_local(v), "v")
 
 
-def _bracket(a) -> tuple[float, float]:
+def _bracket(a) -> tuple[float, float, float]:
+    """The symmetric-part eigenvalues padded by ``1e-6 max(1, ||A||)``,
+    which bound both values, and that scale ``max(1, ||A||)``."""
     sym = symmetric_part_eigs(a)
-    pad = 1e-6 * max(1.0, operator_norm(a))
-    return float(sym[0]) - pad, float(sym[-1]) + pad
+    scale = max(1.0, operator_norm(a))
+    pad = 1e-6 * scale
+    return float(sym[0]) - pad, float(sym[-1]) + pad, scale
 
 
 def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> NumericalBreakdown:
@@ -219,7 +226,7 @@ def _answer(g: np.ndarray, t: float, slack: float, w: np.ndarray, y: np.ndarray)
 
 
 def _test(b: np.ndarray, t: float, needed):
-    """Test ``t`` for both sides: ``{side: (vector, bound)}`` and the LP's
+    """Test ``t`` for both values: ``{side: (vector, bound)}`` and the LP's
     recomputed margin ``min(G w)``, or None when no LP ran.
 
     Side ``+1`` asks whether ``G w >= 0`` has a simplex point ``w``, side
@@ -230,7 +237,7 @@ def _test(b: np.ndarray, t: float, needed):
     ``min(G e_j) > slack`` certifies the lower side infeasible and
     ``max(G^T e_i) < -slack`` the upper side.  The LP runs only when a
     side in ``needed`` is still undecided, and its primal ``w`` and dual
-    ``y`` answer both sides: by LP duality ``(y, w)`` is an optimal pair
+    ``y`` answer both tests: by LP duality ``(y, w)`` is an optimal pair
     of ``solve_max_eps(-G^T)``.
     """
     g, slack = _shift(b, t)
@@ -275,8 +282,6 @@ def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
     inside the side's bracket or not, never widens it.
     """
     for side, (vec, bound) in found.items():
-        if side not in brackets:
-            continue
         lo, hi = brackets[side]
         ts = side * t
         if vec is None:
@@ -287,23 +292,23 @@ def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
             vectors[side], brackets[side][0] = vec, lifted
 
 
-def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
-    """The quasi-eigenvalues of ``b`` (``a`` in the cone's axes) named by
-    ``sides`` (``+1`` upper, ``-1`` lower), each to ``tol / 2``, as
-    ``[(value, local vector), ...]`` in the order of ``sides``.
+def _search(b: np.ndarray, lo0: float, hi0: float, tol: float) -> tuple:
+    """Both quasi-eigenvalues of ``b``, each to ``tol / 2``, as
+    ``((upper, w), (lower, z))`` with ``w`` and ``z`` simplex vectors in
+    the cone's axes; ``[lo0, hi0]`` bounds both values.
 
     One stream of tests serves both values (see ``_test``).  Each side
     keeps a certified bracket ``[lo, hi]`` in its own coordinates, ``t``
-    for the upper side and ``-t`` for the lower one (see ``_narrow``).
-    Both brackets start from the padded symmetric-part eigenvalues, which
-    bound both values: at the low end the upper side must be feasible and
-    the lower side infeasible, at the high end the reverse; if not, a
-    ``NumericalBreakdown`` names that bracket.  The sides are then closed
-    in turn.  The next ``t`` in a side's bracket is the secant root of
-    ``eps*(t)`` through the last two LP-solved tests when that root lies
-    at least ``tol / 4`` inside the bracket and the side's previous step
-    at least halved it (safeguarded as in Crouzeix, Ferland and Schaible
-    1985); otherwise the midpoint.  A side stops at width ``tol / 2``, not
+    for the upper side (``+1``) and ``-t`` for the lower one (``-1``, see
+    ``_narrow``).  Both brackets start from ``[lo0, hi0]``: at the low
+    end the upper side must be feasible and the lower side infeasible, at
+    the high end the reverse; if not, a ``NumericalBreakdown`` names that
+    bracket.  The two are then closed in the order of ``_BOTH``.
+    The next ``t`` in a side's bracket is the secant root of ``eps*(t)``
+    through the last two LP-solved tests when that root lies at least
+    ``tol / 4`` inside the bracket and the side's previous step at least
+    halved it (safeguarded as in Crouzeix, Ferland and Schaible 1985);
+    otherwise the midpoint.  A side stops at width ``tol / 2``, not
     ``tol``: an upper and a lower value that coincide then come out at
     most ``tol`` apart, within the margin of ``bounds_check``.  It also
     stops when the next ``t`` is not strictly inside its bracket, which
@@ -314,11 +319,10 @@ def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
     returned; testing that ``t`` would decide nothing new.  Each side has
     a budget of ``_MAX_SEARCH_STEPS`` steps.
     """
-    lo0, hi0 = _bracket(a)
-    brackets = {side: [lo0, hi0] if side > 0 else [-hi0, -lo0] for side in sides}
-    ends = [_test(b, t, sides) for t in (lo0, hi0)]
+    brackets = {1: [lo0, hi0], -1: [-hi0, -lo0]}
+    ends = [_test(b, t, _BOTH) for t in (lo0, hi0)]
     vectors = {}
-    for side in sides:
+    for side in _BOTH:
         # The answers at the side's own lo and hi (the lower side's lo is -hi0).
         (w, _), (wh, _) = (found[side] for found, _ in (ends if side > 0 else ends[::-1]))
         if w is None or wh is not None:
@@ -334,7 +338,7 @@ def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
     def width(side):
         return brackets[side][1] - brackets[side][0]
 
-    for k, side in enumerate(sides):
+    for k, side in enumerate(_BOTH):
         steps = 0
         halved = True
         while width(side) > 0.5 * tol:
@@ -352,84 +356,62 @@ def _search(a: np.ndarray, b: np.ndarray, tol: float, sides) -> list:
                     t = root
             if not lo < t < hi:
                 break  # float resolution: no new point to test
-            needed = [s for s in sides[k:] if width(s) > 0.5 * tol]
+            needed = [s for s in _BOTH[k:] if width(s) > 0.5 * tol]
             found, eps = _test(b, side * t, needed)
             _narrow(brackets, vectors, side * t, found)
             if eps is not None:
                 history = [*history[-1:], (side * t, eps)]
             halved = width(side) <= 0.5 * (hi - lo)
-    out = []
-    for side in sides:
-        lo = brackets[side][0]
-        w = _most_interior(b if side > 0 else -b.T, lo - 0.5 * tol, vectors[side])
-        out.append((lo if side > 0 else 0.0 - lo, w))  # 0.0 - lo: no -0.0
-    return out
-
-
-def _solver_input(a, tol: float) -> np.ndarray:
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return as_matrix(a)
-
-
-def upper_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """The upper quasi-eigenvalue and a right quasi-eigenvector.
-
-    Returns ``(value, u)``.  The value is the lower end of a bracket
-    around the true supremum: a Collatz-Wielandt ratio of a feasible
-    simplex point below, an LP-dual cut above.  The bracket is at most
-    ``tol / 2`` wide, unless ``tol / 4`` is below the float spacing at the
-    value (about ``||A|| >= 1e7`` at the default tol); there the search
-    runs to float resolution, and the value is within the feasibility
-    slack (a relative 2.5e-13 at worst on Perron matrices at 1e7 and 1e150).
-    ``u`` (unit coordinate sum in cone axes) certifies it:
-    ``inner_inf(a, cone, u) >= value - 2 * tol``.
-
-    Caveat: on degenerate instances whose infeasibility margin decays
-    like ``(t - value)^k`` past the optimum (nilpotent-type reducible
-    structure), a feasibility test can accept a ``t`` above the value by
-    up to ``slack^(1/k)``, with ``slack = 256 eps``.  Over the orthant a
-    nilpotent Jordan block of size k (value 0) returns 2.38e-7, 3.85e-5,
-    4.88e-4, 6.21e-3 and 2.22e-2 for k = 2, 3, 4, 6 and 8; the returned
-    vector still certifies the true value from below.  Generic and
-    irreducible inputs approach linearly and meet the stated tolerance.
-    """
-    a = _solver_input(a, tol)
-    [(value, w)] = _search(a, _local_problem(a, cone), tol, (1,))
-    return value, cone.from_local(w)
-
-
-def lower_quasi_eigenvalue(a, cone: Cone, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """The lower quasi-eigenvalue and a unit-norm left quasi-eigenvector.
-
-    The value is the upper end of its own certified bracket: a ratio
-    ``max (B^T z)_i / z_i`` of a simplex point with ``B^T z <= t z`` (up
-    to the slack) above, a cut from the LP's primal point below.  ``v``
-    certifies it: ``inner_sup(a, cone, v) <= value + 2 * tol``.
-    """
-    a = _solver_input(a, tol)
-    [(value, z)] = _search(a, _local_problem(a, cone), tol, (-1,))
-    v = cone.from_local(z)
-    return value, v / np.linalg.norm(v)
+    up, lo = brackets[1][0], brackets[-1][0]
+    w = _most_interior(b, up - 0.5 * tol, vectors[1])
+    z = _most_interior(-b.T, lo - 0.5 * tol, vectors[-1])
+    return (up, w), (0.0 - lo, z)  # 0.0 - lo: no -0.0
 
 
 def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
-    """Both quasi-eigenvalues, interiority flags, saddle status, and
-    eigen-residuals in one report.  One search serves both values: each
-    LP it solves answers the upper test by its primal and the lower test
-    by its dual.
+    """Both quasi-eigenvalues with their certifying vectors, interiority
+    flags, saddle status and eigen-residuals.  One search serves both
+    values: each LP it solves answers the upper test by its primal and the
+    lower test by its dual.
+
+    The upper value is the lower end of its certified bracket (a
+    Collatz-Wielandt ratio below, an LP-dual cut above), the lower value
+    the upper end of its own.  Each bracket is at most ``tol / 2`` wide,
+    unless ``tol / 4`` is below the float spacing at the value (about
+    ``||A|| >= 1e7`` at the default tol); there the search runs to float
+    resolution, and the value is within the feasibility slack (a relative
+    2.5e-13 at worst on Perron matrices at 1e7 and 1e150).  ``u_right``
+    and ``v_left`` certify the values: ``inner_inf(a, cone, u_right) >=
+    lambda_upper - 2 * tol`` and ``inner_sup(a, cone, v_left) <=
+    lambda_lower + 2 * tol``.
+
+    Caveat: on degenerate instances whose infeasibility margin decays
+    like ``(t - value)^k`` past the optimum (nilpotent-type reducible
+    structure), a feasibility test can accept a ``t`` above the upper
+    value by up to ``slack^(1/k)``, with ``slack = 256 eps``.  Over the
+    orthant a nilpotent Jordan block of size k (value 0) returns 2.38e-7,
+    3.85e-5, 4.88e-4, 6.21e-3 and 2.22e-2 for k = 2, 3, 4, 6 and 8; the
+    returned vector still certifies the true value from below.  Generic
+    and irreducible inputs approach linearly and meet the stated
+    tolerance.
 
     Interiority uses margin ``10 * tol`` to separate genuine interior
-    vectors from boundary-within-noise ones.
+    vectors from boundary-within-noise ones.  The saddle reading allows
+    the two values ``2 * tol * max(1, ||A||)`` apart, since from
+    ``||A||`` about 1e7 on each search stops at float resolution.
     """
-    a = _solver_input(as_matrix(a), tol)
-    (lam_up, w), (lam_lo, z) = _search(a, _local_problem(a, cone), tol, (1, -1))
+    a = as_matrix(a)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    b = _local_problem(a, cone)
+    lo0, hi0, scale = _bracket(a)
+    (lam_up, w), (lam_lo, z) = _search(b, lo0, hi0, tol)
     u = cone.from_local(w)
     v = cone.from_local(z)
     v = v / np.linalg.norm(v)
     u_int = contains(cone, u, tol=10.0 * tol).in_interior
     v_int = contains(cone, v, tol=10.0 * tol).in_interior
-    saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol
+    saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol * scale
     res_r = float(np.linalg.norm(a @ u - lam_up * u) / np.linalg.norm(u))
     res_l = float(np.linalg.norm(a.T @ v - lam_lo * v) / np.linalg.norm(v))
     return QuasiEigenResult(

@@ -26,7 +26,6 @@ from quasieig import (
     spectral_radius,
     symmetric_part_eigs,
     theorem4_classify,
-    upper_quasi_eigenvalue,
 )
 from quasieig.analysis import rotation_block
 from helpers import (
@@ -125,7 +124,7 @@ def test_criterion_4_minimax_equality_oracle():
         a = random_matrix(rng, n)
         cone = Cone.rotated(random_orthogonal(n, int(rng.integers(0, 2**31))))
         si, isup = brute_minimax(a, cone, 2000)
-        lam, _ = upper_quasi_eigenvalue(a, cone)
+        lam = quasi_pair(a, cone).lambda_upper
         worst_eq = max(worst_eq, abs(si - isup))
         worst_lp = max(worst_lp, abs(lam - si))
         if abs(si - isup) > 1e-2 or abs(lam - si) > 1e-2:

@@ -151,7 +151,7 @@ def _bit_identity_inputs():
     and near-degenerate B - t I with t within 1e-9 of the upper value of
     B, as the quasi-eigenvalue search feeds the kernel (also in the
     Fortran order of a reflected B^T)."""
-    from quasieig import Cone, upper_quasi_eigenvalue
+    from quasieig import Cone, quasi_pair
 
     rng = np.random.default_rng(16)
     out = []
@@ -169,7 +169,7 @@ def _bit_identity_inputs():
         b = rng.uniform(-1.0, 1.0, (n, n))
         if i % 2:
             b = -b.T
-        value, _ = upper_quasi_eigenvalue(b, Cone.orthant(n))
+        value = quasi_pair(b, Cone.orthant(n)).lambda_upper
         t = value + float(rng.uniform(-1e-9, 1e-9))
         g = b - t * np.eye(n)
         out.append(np.asfortranarray(g) if i % 4 == 1 else g)

@@ -15,14 +15,12 @@ from quasieig import (
     eig_oracle,
     inner_inf,
     inner_sup,
-    lower_quasi_eigenvalue,
     quasi_pair,
     quasilinearity_probe,
     random_orthogonal,
     rayleigh,
     span_meets_interior,
     symmetric_part_eigs,
-    upper_quasi_eigenvalue,
 )
 from helpers import random_cone, random_irreducible_nonneg, random_isc, random_matrix
 
@@ -66,35 +64,35 @@ def test_inner_ops_require_cone_membership():
 
 
 def test_upper_example1():
-    lam, u = upper_quasi_eigenvalue(EX1, ORTHANT2)
-    assert lam == pytest.approx(2.0, abs=1e-8)
-    assert u == pytest.approx([1.0, 0.0], abs=1e-8)
+    r = quasi_pair(EX1, ORTHANT2)
+    assert r.lambda_upper == pytest.approx(2.0, abs=1e-8)
+    assert r.u_right == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 def test_upper_example2():
-    lam, u = upper_quasi_eigenvalue(EX2, ORTHANT2)
-    assert lam == pytest.approx(1.0, abs=1e-8)
-    assert u == pytest.approx([1.0, 0.0], abs=1e-8)
+    r = quasi_pair(EX2, ORTHANT2)
+    assert r.lambda_upper == pytest.approx(1.0, abs=1e-8)
+    assert r.u_right == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 def test_upper_identity_any_cone():
     rng = np.random.default_rng(0)
     for n in (2, 3, 5):
-        lam, u = upper_quasi_eigenvalue(np.eye(n), random_cone(rng, n))
-        assert lam == pytest.approx(1.0, abs=1e-8)
+        r = quasi_pair(np.eye(n), random_cone(rng, n))
+        assert r.lambda_upper == pytest.approx(1.0, abs=1e-8)
         assert contains(Cone.orthant(n), np.full(n, 1.0 / n)).in_interior  # sanity
 
 
 def test_lower_example1():
-    lam, v = lower_quasi_eigenvalue(EX1, ORTHANT2)
-    assert lam == pytest.approx(1.0, abs=1e-8)
-    assert v == pytest.approx([0.0, 1.0], abs=1e-8)
+    r = quasi_pair(EX1, ORTHANT2)
+    assert r.lambda_lower == pytest.approx(1.0, abs=1e-8)
+    assert r.v_left == pytest.approx([0.0, 1.0], abs=1e-8)
 
 
 def test_lower_example2():
-    lam, v = lower_quasi_eigenvalue(EX2, ORTHANT2)
-    assert lam == pytest.approx(1.0, abs=1e-8)
-    assert v == pytest.approx([1.0, 0.0], abs=1e-8)
+    r = quasi_pair(EX2, ORTHANT2)
+    assert r.lambda_lower == pytest.approx(1.0, abs=1e-8)
+    assert r.v_left == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 def test_quasi_pair_example1_flags():
@@ -151,9 +149,9 @@ def test_shift_equivariance():
         a = random_matrix(rng, n)
         cone = random_cone(rng, n)
         c = float(rng.uniform(-2, 2))
-        lam, _ = upper_quasi_eigenvalue(a, cone)
-        lam_shift, _ = upper_quasi_eigenvalue(a + c * np.eye(n), cone)
-        assert lam_shift == pytest.approx(lam + c, abs=2e-9)
+        r = quasi_pair(a, cone)
+        shifted = quasi_pair(a + c * np.eye(n), cone)
+        assert shifted.lambda_upper == pytest.approx(r.lambda_upper + c, abs=2e-9)
 
 
 def test_attained_value_certificates():
@@ -162,10 +160,9 @@ def test_attained_value_certificates():
         n = int(rng.integers(2, 8))
         a = random_matrix(rng, n)
         cone = random_cone(rng, n) if k % 2 else Cone.orthant(n)
-        lam, u = upper_quasi_eigenvalue(a, cone)
-        assert inner_inf(a, cone, u) >= lam - 2e-9
-        lam2, v = lower_quasi_eigenvalue(a, cone)
-        assert inner_sup(a, cone, v) <= lam2 + 2e-9
+        r = quasi_pair(a, cone)
+        assert inner_inf(a, cone, r.u_right) >= r.lambda_upper - 2e-9
+        assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2e-9
 
 
 def test_reflection_identity():
@@ -176,8 +173,8 @@ def test_reflection_identity():
         n = int(rng.integers(2, 6))
         a = random_matrix(rng, n)
         cone = random_cone(rng, n)
-        lo, _ = lower_quasi_eigenvalue(a, cone)
-        up, _ = upper_quasi_eigenvalue(-a.T, cone)
+        lo = quasi_pair(a, cone).lambda_lower
+        up = quasi_pair(-a.T, cone).lambda_upper
         assert lo == pytest.approx(-up, abs=3e-9)
 
 
@@ -209,7 +206,7 @@ def test_brute_agrees_with_bisection_small_sample():
         a = random_matrix(rng, n)
         cone = random_cone(rng, n)
         si, isup = brute_minimax(a, cone, 2000)
-        lam, _ = upper_quasi_eigenvalue(a, cone)
+        lam = quasi_pair(a, cone).lambda_upper
         budget = 5.0 * operator_norm(a) / 2000.0
         assert abs(si - isup) <= budget
         assert abs(lam - si) <= budget
@@ -233,10 +230,9 @@ def test_eigenvector_in_cone_inequalities():
     # A (1,1)-right-eigenvector instance: lambda = 2 with right eigenvector
     # interior, so 2 <= lower; here the left eigenvector for 2 is boundary.
     a = np.array([[2.0, 0.0], [1.0, 1.0]])
-    lo, _ = lower_quasi_eigenvalue(a, ORTHANT2)
-    assert 2.0 <= lo + 2e-9
-    up, _ = upper_quasi_eigenvalue(a, ORTHANT2)
-    assert up == pytest.approx(2.0, abs=1e-8)
+    r = quasi_pair(a, ORTHANT2)
+    assert 2.0 <= r.lambda_lower + 2e-9
+    assert r.lambda_upper == pytest.approx(2.0, abs=1e-8)
 
 
 def test_eigenvector_in_cone_equality_both_sides():
@@ -312,16 +308,36 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     assert len(solves) <= 60
 
     # The step budget still names where it stopped: the bracket, which
-    # holds the value, and the step count.  The lower value's search names
-    # its own bracket, in the value's coordinates.
+    # holds the value, and the step count.
     monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
-    for fn in (quasi_pair, lower_quasi_eigenvalue):
-        with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
-            fn(a, Cone.orthant(4))
-        found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc.value))
-        assert found, str(exc.value)
-        lo, hi = float(found.group(1)), float(found.group(2))
-        assert lo <= rho <= hi
+    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
+        quasi_pair(a, Cone.orthant(4))
+    lo, hi = _named_bracket(exc.value)
+    assert lo <= rho <= hi
+
+
+def _named_bracket(exc) -> tuple[float, float]:
+    found = re.search(r"bracket \[([^,]+), ([^\]]+)\]", str(exc))
+    assert found, str(exc)
+    return float(found.group(1)), float(found.group(2))
+
+
+def test_step_budget_names_the_lower_bracket_in_its_own_coordinates(monkeypatch):
+    # Next to a block whose upper value 3 the end tests settle, the search
+    # runs out of steps on the lower value, the Perron root rho of the other
+    # block.  The error names the lower value's bracket in the value's
+    # coordinates: it holds rho (the upper value's bracket starts at 3).
+    import quasieig.quasi as quasi_module
+
+    p = random_irreducible_nonneg(np.random.default_rng(3), 4)
+    rho = max(abs(lam) for lam, _ in eig_oracle(p))
+    split = np.zeros((5, 5))
+    split[0, 0], split[1:, 1:] = 3.0, p
+    monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
+    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
+        quasi_pair(split, Cone.orthant(5))
+    lo, hi = _named_bracket(exc.value)
+    assert lo <= rho <= hi < 3.0
 
 
 def _homogeneity_cases():
@@ -366,9 +382,9 @@ def test_bracket_that_misses_the_value_breaks_down(monkeypatch, bracket):
     # is an error that names the bracket, never a value.
     import quasieig.quasi as quasi_module
 
-    monkeypatch.setattr(quasi_module, "_bracket", lambda a: bracket)
+    monkeypatch.setattr(quasi_module, "_bracket", lambda a: (*bracket, 1.0))
     with pytest.raises(NumericalBreakdown) as exc:
-        upper_quasi_eigenvalue(ISC, ORTHANT2)
+        quasi_pair(ISC, ORTHANT2)
     assert f"bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]" in str(exc.value)
 
 
@@ -461,14 +477,14 @@ def _pair_cases():
 
 @pytest.mark.parametrize("case", _pair_cases(), ids=lambda case: case[0])
 def test_pair_agrees_with_the_one_sided_values(case):
-    # quasi_pair closes both brackets from one stream of LPs; each value
-    # must still be the one its own search finds, to tol * max(1, ||A||),
-    # and both vectors must certify their values.
+    # quasi_pair closes both brackets from one stream of LPs, the upper one
+    # first.  The lower value, closed second, must agree with the reflected
+    # matrix's upper value, closed first: lower(A) = -upper(-A^T), to
+    # tol * max(1, ||A||).  Both vectors must certify their values.
     _, a, cone = case
     r = quasi_pair(a, cone)
     tau = r.tol * max(1.0, np.linalg.norm(a, 2))
-    assert abs(r.lambda_upper - upper_quasi_eigenvalue(a, cone)[0]) <= tau
-    assert abs(r.lambda_lower - lower_quasi_eigenvalue(a, cone)[0]) <= tau
+    assert abs(r.lambda_lower + quasi_pair(-a.T, cone).lambda_upper) <= tau
     assert inner_inf(a, cone, r.u_right) >= r.lambda_upper - 2.0 * r.tol
     assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * r.tol
 
@@ -479,21 +495,18 @@ def test_pair_closes_two_separate_brackets_exactly():
     # close two brackets that never meet.  Both come out exactly.
     r = quasi_pair(EX1, ORTHANT2)
     assert (r.lambda_upper, r.lambda_lower) == (2.0, 1.0)
-    assert upper_quasi_eigenvalue(EX1, ORTHANT2)[0] == 2.0
-    assert lower_quasi_eigenvalue(EX1, ORTHANT2)[0] == 1.0
+    assert quasi_pair(-EX1.T, ORTHANT2).lambda_upper == -1.0
 
 
 @pytest.mark.parametrize(
-    "a, pair_lps, one_sided_lps",
-    [(EX1, 4, (2, 2)), (EX2, 2, (1, 1)), (random_isc(np.random.default_rng(55), 4), 14, (13, 13))],
+    "a, pair_lps",
+    [(EX1, 4), (EX2, 2), (random_isc(np.random.default_rng(55), 4), 14)],
     ids=["example1", "example2", "isc55"],
 )
-def test_pair_lp_counts(monkeypatch, a, pair_lps, one_sided_lps):
+def test_pair_lp_counts(monkeypatch, a, pair_lps):
     # Each LP of the pair's search answers the upper test by its primal and
-    # the lower test by its dual, so the pair never costs more LPs than its
-    # two one-sided searches, and costs fewer wherever the search steps
-    # inside the bracket (12 of 26 on isc55).  The paper examples take no
-    # such step: their LPs are the final re-solve of each value and, in
+    # the lower test by its dual.  The paper examples take no step inside
+    # the bracket: their LPs are the final re-solve of each value and, in
     # example 1, whose values are far apart, one LP at each end of the
     # bracket that only one value needs.  The counts are exact: Bland's
     # rule is deterministic.
@@ -507,10 +520,5 @@ def test_pair_lp_counts(monkeypatch, a, pair_lps, one_sided_lps):
         return solve(g)
 
     monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
-    counts = []
-    for fn in (quasi_pair, upper_quasi_eigenvalue, lower_quasi_eigenvalue):
-        solves.clear()
-        fn(a, Cone.orthant(a.shape[0]))
-        counts.append(len(solves))
-    assert counts == [pair_lps, *one_sided_lps]
-    assert pair_lps <= sum(one_sided_lps)
+    quasi_pair(a, Cone.orthant(a.shape[0]))
+    assert len(solves) == pair_lps
