@@ -8,9 +8,9 @@ the CLI maps to its own exit code), except in ``theorem4_classify``
 (``NotNormal``) and ``cone_continuity_experiment`` (``NotInterior``).
 Each checker takes a matrix or a ``MatrixFacts`` record; checkers handed
 one record share its solves and matrix facts.  Every comparison a
-checker makes against ``tol`` is made at ``tol * max(1, ||A||)``: from
-``||A||`` about 1e7 on each search stops at float resolution, and
-rounding in the values grows with ``||A||``.
+checker makes against ``tol * max(1, ||A||)``: the search's feasibility
+slack, and with it the width at which each bracket closes, grows with
+``||A||``, and so does rounding in the values.
 """
 
 import json
@@ -569,7 +569,7 @@ def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
     """Both quasi-eigenvalues are unchanged by an orthogonal change of
     variables applied to the matrix and the cone together, to
     ``2 * tol * max(1, ||A||)``.  The bound scales with ``||A||`` because
-    from ``||A||`` about 1e7 on each search stops at float resolution."""
+    the search's feasibility slack, and with it each bracket, does."""
     facts = _facts(a)
     u = as_matrix(u)
     if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:

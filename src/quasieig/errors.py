@@ -22,7 +22,9 @@ class ConvergenceFailure(QuasiEigError):
 
 
 class NumericalBreakdown(QuasiEigError):
-    """LP pivoting exceeded its anti-cycling budget or lost feasibility.
+    """LP pivoting met an unbounded direction, exceeded its budget or lost
+    feasibility; or the quasi-eigenvalue search's starting bracket misses
+    a value, or the search exceeded its step budget (naming its bracket).
 
     Callers may retry with a slightly jittered problem.
     """

@@ -47,10 +47,9 @@ certifies:
 
 each widened by the feasibility slack.  The next t is a safeguarded
 secant step on ``eps*(t)`` or the midpoint, in the first bracket still
-wider than ``tol / 2``; a bracket is done at that width, or once that t
-is no float strictly inside it (where the float spacing at the value
-exceeds ``tol / 4``, about ``||A|| >= 1e7`` at the default tol).  The
-symmetric-part eigenvalues bracket both values, which seeds the search.
+wider than ``max(tol / 2, 2 slack)``; a bracket is done at that width.
+The symmetric-part eigenvalues bracket both values, which seeds the
+search.
 
 This reduction is validated against a brute-force grid oracle
 (``brute_minimax``), never assumed.
@@ -225,7 +224,7 @@ def _answer(g: np.ndarray, t: float, slack: float, w: np.ndarray, y: np.ndarray)
     return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max())
 
 
-def _test(b: np.ndarray, t: float, needed):
+def _test(b: np.ndarray, t: float):
     """Test ``t`` for both values: ``{side: (vector, bound)}`` and the LP's
     recomputed margin ``min(G w)``, or None when no LP ran.
 
@@ -236,9 +235,9 @@ def _test(b: np.ndarray, t: float, needed):
     feasible, a row with ``max(G^T e_i) <= slack`` the lower side;
     ``min(G e_j) > slack`` certifies the lower side infeasible and
     ``max(G^T e_i) < -slack`` the upper side.  The LP runs only when a
-    side in ``needed`` is still undecided, and its primal ``w`` and dual
-    ``y`` answer both tests: by LP duality ``(y, w)`` is an optimal pair
-    of ``solve_max_eps(-G^T)``.
+    side is still undecided, and its primal ``w`` and dual ``y`` answer
+    both tests: by LP duality ``(y, w)`` is an optimal pair of
+    ``solve_max_eps(-G^T)``.
     """
     g, slack = _shift(b, t)
     cols, rows = g.min(axis=0), g.max(axis=1)
@@ -252,7 +251,7 @@ def _test(b: np.ndarray, t: float, needed):
         found[-1] = (np.eye(1, g.shape[0], i)[0], -float(b[i, i]))
     elif cols[j] > slack:
         found[-1] = (None, -t + (slack - float(cols[j])))
-    if all(side in found for side in needed):
+    if len(found) == 2:
         return found, None
     sol = solve_max_eps(g)
     found.setdefault(1, _answer(g, t, slack, sol.x_star, sol.y_star))
@@ -292,10 +291,10 @@ def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
             vectors[side], brackets[side][0] = vec, lifted
 
 
-def _search(b: np.ndarray, lo0: float, hi0: float, tol: float) -> tuple:
-    """Both quasi-eigenvalues of ``b``, each to ``tol / 2``, as
-    ``((upper, w), (lower, z))`` with ``w`` and ``z`` simplex vectors in
-    the cone's axes; ``[lo0, hi0]`` bounds both values.
+def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> tuple:
+    """Both quasi-eigenvalues of ``b`` as ``((upper, w), (lower, z))``
+    with ``w`` and ``z`` simplex vectors in the cone's axes; ``[lo0,
+    hi0]`` bounds both values and ``scale`` is ``max(1, ||A||)``.
 
     One stream of tests serves both values (see ``_test``).  Each side
     keeps a certified bracket ``[lo, hi]`` in its own coordinates, ``t``
@@ -303,24 +302,26 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float) -> tuple:
     ``_narrow``).  Both brackets start from ``[lo0, hi0]``: at the low
     end the upper side must be feasible and the lower side infeasible, at
     the high end the reverse; if not, a ``NumericalBreakdown`` names that
-    bracket.  The two are then closed in the order of ``_BOTH``.
-    The next ``t`` in a side's bracket is the secant root of ``eps*(t)``
-    through the last two LP-solved tests when that root lies at least
-    ``tol / 4`` inside the bracket and the side's previous step at least
-    halved it (safeguarded as in Crouzeix, Ferland and Schaible 1985);
-    otherwise the midpoint.  A side stops at width ``tol / 2``, not
-    ``tol``: an upper and a lower value that coincide then come out at
-    most ``tol`` apart, within the margin of ``bounds_check``.  It also
-    stops when the next ``t`` is not strictly inside its bracket, which
-    happens only where ``tol / 4`` is below the float spacing at the
-    value: the ends are adjacent floats, or the secant root rounds onto
-    an end (the secant then puts the value at that end, and ``hi`` can
-    stay far above ``lo``).  Both ends stay certified and ``lo`` is
-    returned; testing that ``t`` would decide nothing new.  Each side has
-    a budget of ``_MAX_SEARCH_STEPS`` steps.
+    bracket.  The two are then closed in the order of ``_BOTH``, each
+    down to width ``close = max(tol / 2, 2 _FEAS_TOL scale)``.  At
+    ``tol / 2`` an upper and a lower value that coincide come out at most
+    ``tol`` apart, within the margin of ``bounds_check``.  The other term
+    bounds the slack of every test on the bracket (``max|B - t I|`` is
+    about ``2 scale`` there), so no test resolves ``t`` more finely; it
+    is the larger from ``||A||`` about 4.4e3 at the default tol.  The next
+    ``t`` in a side's bracket is the secant root of ``eps*(t)`` through
+    the last two LP-solved tests when that root lies at least ``close /
+    2`` inside the bracket and the side's previous step at least halved
+    it (safeguarded as in Crouzeix, Ferland and Schaible 1985); otherwise
+    the midpoint.  Either is strictly inside the bracket, as ``close / 2``
+    spans many floats at any value in it.  Each side has a budget of
+    ``_MAX_SEARCH_STEPS`` steps.
     """
+    # Factor 2 is the slack bound; a factor up to 8 leaves every bracket
+    # at tol / 2 for ||A|| <= 1e3, a larger one coarsens large-scale values.
+    close = max(0.5 * tol, 2.0 * _FEAS_TOL * scale)
     brackets = {1: [lo0, hi0], -1: [-hi0, -lo0]}
-    ends = [_test(b, t, _BOTH) for t in (lo0, hi0)]
+    ends = [_test(b, t) for t in (lo0, hi0)]
     vectors = {}
     for side in _BOTH:
         # The answers at the side's own lo and hi (the lower side's lo is -hi0).
@@ -338,10 +339,10 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float) -> tuple:
     def width(side):
         return brackets[side][1] - brackets[side][0]
 
-    for k, side in enumerate(_BOTH):
+    for side in _BOTH:
         steps = 0
         halved = True
-        while width(side) > 0.5 * tol:
+        while width(side) > close:
             lo, hi = brackets[side]
             steps += 1
             if steps > _MAX_SEARCH_STEPS:
@@ -352,19 +353,16 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float) -> tuple:
             if halved and len(history) == 2 and history[0][1] != history[1][1]:
                 (t0, e0), (t1, e1) = history
                 root = side * (t1 - e1 * (t1 - t0) / (e1 - e0))
-                if lo + 0.25 * tol <= root <= hi - 0.25 * tol:
+                if lo + 0.5 * close <= root <= hi - 0.5 * close:
                     t = root
-            if not lo < t < hi:
-                break  # float resolution: no new point to test
-            needed = [s for s in _BOTH[k:] if width(s) > 0.5 * tol]
-            found, eps = _test(b, side * t, needed)
+            found, eps = _test(b, side * t)
             _narrow(brackets, vectors, side * t, found)
             if eps is not None:
                 history = [*history[-1:], (side * t, eps)]
             halved = width(side) <= 0.5 * (hi - lo)
     up, lo = brackets[1][0], brackets[-1][0]
-    w = _most_interior(b, up - 0.5 * tol, vectors[1])
-    z = _most_interior(-b.T, lo - 0.5 * tol, vectors[-1])
+    w = _most_interior(b, up - close, vectors[1])
+    z = _most_interior(-b.T, lo - close, vectors[-1])
     return (up, w), (0.0 - lo, z)  # 0.0 - lo: no -0.0
 
 
@@ -376,14 +374,13 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
 
     The upper value is the lower end of its certified bracket (a
     Collatz-Wielandt ratio below, an LP-dual cut above), the lower value
-    the upper end of its own.  Each bracket is at most ``tol / 2`` wide,
-    unless ``tol / 4`` is below the float spacing at the value (about
-    ``||A|| >= 1e7`` at the default tol); there the search runs to float
-    resolution, and the value is within the feasibility slack (a relative
-    2.5e-13 at worst on Perron matrices at 1e7 and 1e150).  ``u_right``
-    and ``v_left`` certify the values: ``inner_inf(a, cone, u_right) >=
-    lambda_upper - 2 * tol`` and ``inner_sup(a, cone, v_left) <=
-    lambda_lower + 2 * tol``.
+    the upper end of its own.  Each bracket is at most ``max(tol / 2,
+    2 * 256 eps * max(1, ||A||))`` wide: the second term, twice the
+    largest feasibility slack of the search, is the larger one from
+    ``||A||`` about 4.4e3 at the default tol.  ``u_right`` and ``v_left``
+    certify the values: ``inner_inf(a, cone, u_right) >= lambda_upper -
+    2 * tol * max(1, ||A||)`` and ``inner_sup(a, cone, v_left) <=
+    lambda_lower + 2 * tol * max(1, ||A||)``.
 
     Caveat: on degenerate instances whose infeasibility margin decays
     like ``(t - value)^k`` past the optimum (nilpotent-type reducible
@@ -397,15 +394,15 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
 
     Interiority uses margin ``10 * tol`` to separate genuine interior
     vectors from boundary-within-noise ones.  The saddle reading allows
-    the two values ``2 * tol * max(1, ||A||)`` apart, since from
-    ``||A||`` about 1e7 on each search stops at float resolution.
+    the two values ``2 * tol * max(1, ||A||)`` apart, since the
+    feasibility slack, and with it each bracket, grows with ``||A||``.
     """
     a = as_matrix(a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     b = _local_problem(a, cone)
     lo0, hi0, scale = _bracket(a)
-    (lam_up, w), (lam_lo, z) = _search(b, lo0, hi0, tol)
+    (lam_up, w), (lam_lo, z) = _search(b, lo0, hi0, tol, scale)
     u = cone.from_local(w)
     v = cone.from_local(z)
     v = v / np.linalg.norm(v)

@@ -374,8 +374,8 @@ def test_invariance_check_examples():
     [(1, "perron", None), (0, "generic", 3), (2, "perron", 11), (2, "generic", None)],
 )
 def test_invariance_check_at_large_scale_reads_no_rounding(seed, family, cone_seed):
-    # At ||A|| ~ 1e7 the two searches stop at float resolution, so the pairs
-    # differ by a few ulps of ||A||, far beyond an absolute 2 tol.
+    # At ||A|| ~ 1e7 each bracket closes at twice the feasibility slack, so
+    # the pairs differ by a few ulps of ||A||, far beyond an absolute 2 tol.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     gen = random_irreducible_nonneg if family == "perron" else random_matrix
@@ -509,8 +509,8 @@ _SCALE_FAMILIES = (
 @pytest.mark.parametrize("scale", [1e4, 1e7, 1e10])
 def test_checkers_read_no_rounding_at_large_scale(scale):
     # Every checker compares at tol * max(1, ||A||): the values' rounding,
-    # the search's float-resolution stop and the eigen-residuals all grow
-    # with ||A||.  Forty seeded matrices of six families, each over the
+    # the width at which the search closes its brackets and the
+    # eigen-residuals all grow with ||A||.  Forty seeded matrices of six families, each over the
     # orthant and a rotated cone: no applicable report fails.
     for seed in range(40):
         rng = np.random.default_rng(seed)

@@ -404,9 +404,9 @@ def test_classify_of_matrix_whose_norm_overflows_exits_0(tmp_path, capsys):
 
 
 def test_quasi_at_large_scale_exits_0(tmp_path, capsys):
-    # The ISC fixture times 1e7: the float spacing at the value exceeds
-    # tol / 4, and the search stops at float resolution, not at its step
-    # budget (which exits 3).
+    # The ISC fixture times 1e7: the feasibility slack exceeds tol / 4, so
+    # each bracket closes at twice the slack, not at tol / 2, and the
+    # search never reaches its step budget (which exits 3).
     f = tmp_path / "isc_1e7.json"
     f.write_text('{"n":2,"rows":[[0,2e7],[3e7,0]]}')
     assert main(["quasi", "--matrix", str(f), "--json"]) == 0

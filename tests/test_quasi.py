@@ -285,11 +285,11 @@ def test_symmetric_interior_eigenvector_case():
 
 @pytest.mark.parametrize("scale", [1e7, 1e150])
 def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
-    # At ||A|| >= 1e7 the float spacing near the value exceeds tol / 4, so
-    # the bracket cannot get tol / 2 narrow; the search stops when no float
-    # is left to test strictly inside it.  Both values are the Perron root
-    # to a relative 1e-12, and the pair costs at most 60 LPs (a search that
-    # retested one t would spend its whole 200-step budget).
+    # At ||A|| >= 1e7 the feasibility slack exceeds tol / 4, so each bracket
+    # closes at twice the slack, not at tol / 2 (a search that waited for
+    # tol / 2 would retest one t until its 200-step budget ran out).  Both
+    # values are the Perron root to a relative 1e-12, and the pair costs at
+    # most 24 LPs.
     import quasieig.quasi as quasi_module
 
     a = scale * random_irreducible_nonneg(np.random.default_rng(3), 4)
@@ -305,7 +305,7 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     r = quasi_pair(a, Cone.orthant(4))
     assert abs(r.lambda_upper - rho) <= 1e-12 * rho
     assert abs(r.lambda_lower - rho) <= 1e-12 * rho
-    assert len(solves) <= 60
+    assert len(solves) <= 24
 
     # The step budget still names where it stopped: the bracket, which
     # holds the value, and the step count.
@@ -314,6 +314,46 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
         quasi_pair(a, Cone.orthant(4))
     lo, hi = _named_bracket(exc.value)
     assert lo <= rho <= hi
+
+
+def _two_block_cases():
+    p = random_irreducible_nonneg(np.random.default_rng(3), 4)
+    return [np.array([[0.0, 2.0], [3.0, 0.0]]), np.array([[1.0, 2.0], [3.0, 1.0]]), p]
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e10, 1e150])
+@pytest.mark.parametrize("block", range(3))
+def test_large_scale_reducible_values_are_the_block_values(scale, block):
+    # diag(3, P) over the orthant: a vector supported on one block has that
+    # block's value as its inner infimum, so the upper value is the larger
+    # block value and the lower value the smaller.  The two brackets close
+    # apart, each to twice the feasibility slack, never at a secant root
+    # that rounds onto an end of its bracket.
+    p = _two_block_cases()[block]
+    n = p.shape[0] + 1
+    a = np.zeros((n, n))
+    a[0, 0], a[1:, 1:] = 3.0, p
+    rho = max(lam.real for lam, _ in eig_oracle(p))
+    r = quasi_pair(scale * a, Cone.orthant(n))
+    assert abs(r.lambda_upper / scale - max(3.0, rho)) <= 1e-12 * max(3.0, rho)
+    assert abs(r.lambda_lower / scale - min(3.0, rho)) <= 1e-12 * min(3.0, rho)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e7, 1e10])
+def test_vectors_certify_their_values_to_the_scaled_tolerance(scale):
+    # The certificate contract: inner_inf(u_right) >= lambda_upper - 2 tau
+    # and inner_sup(v_left) <= lambda_lower + 2 tau, tau = tol max(1, ||A||).
+    # Twenty seeded generic and Perron matrices, n = 3-6, over the orthant
+    # and a rotated cone.
+    rng = np.random.default_rng(12)
+    for k in range(20):
+        n = int(rng.integers(3, 7))
+        a = scale * (random_matrix(rng, n) if k % 2 else random_irreducible_nonneg(rng, n))
+        cone = random_cone(rng, n) if k % 4 >= 2 else Cone.orthant(n)
+        r = quasi_pair(a, cone)
+        tau = r.tol * max(1.0, np.linalg.norm(a, 2))
+        assert inner_inf(a, cone, r.u_right) >= r.lambda_upper - 2.0 * tau, k
+        assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * tau, k
 
 
 def _named_bracket(exc) -> tuple[float, float]:
