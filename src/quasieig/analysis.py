@@ -399,93 +399,53 @@ def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     )
 
 
-def _complex_gram_schmidt(vecs: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for v in vecs:
-        w = v.astype(complex)
-        for q in out:
-            w = w - np.vdot(q, w) * q
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-10:
-            raise ConvergenceFailure("degenerate eigenvector cluster")
-        out.append(w / nrm)
-    return out
-
-
-def _cluster(indices: list[int], vals: np.ndarray, gap: float) -> list[list[int]]:
-    order = sorted(indices, key=lambda i: (vals[i].real, vals[i].imag))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and abs(vals[i] - vals[groups[-1][-1]]) <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def normal_canonical_form(a) -> NormalCanonicalForm:
     """Orthogonal matrix and block data reducing a normal matrix to its
     rotation-scaling canonical form.
 
     Built from the eigenvalue oracle: each conjugate pair contributes the
-    columns sqrt(2) Re(phi), sqrt(2) Im(phi) of the representative with
-    negative imaginary part (so every block angle lands in (0, pi)), each
-    real eigenvalue its real eigenvector.  Near-degenerate clusters are
-    re-orthonormalized jointly before the columns are formed.
+    columns Re(phi), Im(phi) of the representative with negative
+    imaginary part (so every block angle lands in (0, pi)), each real
+    eigenvalue its real eigenvector.  ``u_a`` is the Q of one QR of these
+    columns, signed so that diag(R) > 0.  Eigenvectors of distinct
+    eigenvalues of a normal matrix are already orthogonal, so the QR only
+    re-orthonormalizes the columns of a repeated eigenvalue: its
+    eigenspace gets one orthonormal basis, an arbitrary one, on which
+    ``theorem4_classify``'s applicability then depends.
     """
     facts = _facts(a)
-    a = facts.a
     if not facts.flags.normal:
         raise NotNormal("matrix is not normal")
     nrm = facts.norm
     im_tol = 1e-8 * max(1.0, nrm)
-    gap = max(1e-7 * nrm, 1e-12)
 
-    pairs = facts.eigs
-    vals = np.array([lam for lam, _ in pairs])
-    vecs = [phi for _, phi in pairs]
-
-    reps = [i for i in range(len(vals)) if vals[i].imag < -im_tol]
-    conj = [i for i in range(len(vals)) if vals[i].imag > im_tol]
-    reals = [i for i in range(len(vals)) if abs(vals[i].imag) <= im_tol]
-    if len(reps) != len(conj):
+    vals = np.array([lam for lam, _ in facts.eigs])
+    vecs = np.column_stack([phi for _, phi in facts.eigs])
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
+    reps = [i for i in order if vals[i].imag < -im_tol]
+    reals = [i for i in order if abs(vals[i].imag) <= im_tol]
+    if 2 * len(reps) + len(reals) != len(vals):
         raise ConvergenceFailure("conjugate eigenvalues do not pair up")
 
-    blocks: list[tuple[float, float, np.ndarray, np.ndarray]] = []
-    for group in _cluster(reps, vals, gap):
-        ortho = _complex_gram_schmidt([vecs[i] for i in group])
-        for i, phi in zip(group, ortho):
-            lam = vals[i]
-            r = float(abs(lam))
-            theta = float(math.atan2(-lam.imag, lam.real))
-            blocks.append((r, theta, math.sqrt(2.0) * phi.real, math.sqrt(2.0) * phi.imag))
-
-    real_cols: list[tuple[float, np.ndarray]] = []
-    for group in _cluster(reals, vals, gap):
-        ortho = _complex_gram_schmidt([np.real(vecs[i]).astype(complex) for i in group])
-        for i, phi in zip(group, ortho):
-            real_cols.append((float(vals[i].real), phi.real))
-
+    blocks = [(float(abs(vals[i])), float(math.atan2(-vals[i].imag, vals[i].real)), i) for i in reps]
     blocks.sort(key=lambda blk: -blk[0] * math.cos(blk[1]))
-    real_cols.sort(key=lambda rc: -rc[0])
-
-    columns = []
-    for _, _, p, q in blocks:
-        columns.extend([p, q])
-    for _, phi in real_cols:
-        columns.append(phi)
-    u_a = np.column_stack(columns)
+    reals.sort(key=lambda i: -vals[i].real)
+    columns = [part(vecs[:, i]) for *_, i in blocks for part in (np.real, np.imag)]
+    # A repeated real eigenvalue can come back as a pair mu +- i eps with
+    # conjugate vectors; the Re and Im of one span what the pair spans.
+    columns += [vecs[:, i].imag if vals[i].imag > 0.0 else vecs[:, i].real for i in reals]
+    q, tri = np.linalg.qr(np.column_stack(columns))
+    u_a = q * np.where(np.diag(tri) >= 0.0, 1.0, -1.0)
 
     form = NormalCanonicalForm(
         u_a=u_a,
-        rotation_blocks=[(r, theta) for r, theta, _, _ in blocks],
-        real_eigs=[mu for mu, _ in real_cols],
+        rotation_blocks=[(r, theta) for r, theta, _ in blocks],
+        real_eigs=[float(vals[i].real) for i in reals],
         l=len(blocks),
     )
-    n = a.shape[0]
-    if operator_norm(u_a.T @ u_a - np.eye(n)) > 1e-8:
+    if operator_norm(u_a.T @ u_a - np.eye(len(vals))) > 1e-8:
         raise ConvergenceFailure("canonical basis lost orthogonality")
-    if operator_norm(u_a.T @ a @ u_a - assemble_canonical(form)) > max(1e-8 * nrm, 1e-10):
+    if operator_norm(u_a.T @ facts.a @ u_a - assemble_canonical(form)) > max(1e-8 * nrm, 1e-10):
         raise ConvergenceFailure("canonical form residual exceeds contract")
     return form
 
@@ -521,6 +481,8 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     facts = _facts(a)
     form = facts.form
     n = facts.a.shape[0]
+    if cone.n != n:
+        raise DimensionMismatch("matrix and cone dimensions differ")
     subspaces: list[tuple[float, list[np.ndarray]]] = []
     for i, (r, theta) in enumerate(form.rotation_blocks):
         cols = [form.u_a[:, 2 * i], form.u_a[:, 2 * i + 1]]
@@ -569,9 +531,12 @@ def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
     """Both quasi-eigenvalues are unchanged by an orthogonal change of
     variables applied to the matrix and the cone together, to
     ``2 * tol * max(1, ||A||)``.  The bound scales with ``||A||`` because
-    the search's feasibility slack, and with it each bracket, does."""
+    the search's feasibility slack, and with it each bracket, does.
+    Raises ``DimensionMismatch`` when ``u`` is not the shape of ``a``."""
     facts = _facts(a)
     u = as_matrix(u)
+    if u.shape != facts.a.shape:
+        raise DimensionMismatch("change-of-variables and matrix dimensions differ")
     if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:
         raise NotOrthogonal("change-of-variables matrix is not orthogonal")
     pair = facts.pair(cone, tol)

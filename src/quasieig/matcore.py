@@ -96,8 +96,8 @@ def classify(m, tol: float = 1e-10) -> ClassificationReport:
     ``tol`` only enters the symmetry, skew-symmetry and normality tests,
     which compare against ``tol * ||m||`` resp. ``tol * ||m||**2``.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     m = as_matrix(m)
     n = m.shape[0]
     off = ~np.eye(n, dtype=bool)

@@ -398,8 +398,8 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     feasibility slack, and with it each bracket, grows with ``||A||``.
     """
     a = as_matrix(a)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     b = _local_problem(a, cone)
     lo0, hi0, scale = _bracket(a)
     (lam_up, w), (lam_lo, z) = _search(b, lo0, hi0, tol, scale)

@@ -7,7 +7,7 @@ reproducible; acceptance criteria reuse these with their own seeds.
 import numpy as np
 
 from quasieig import Cone, random_orthogonal
-from quasieig.analysis import rotation_block
+from quasieig.analysis import NormalCanonicalForm, assemble_canonical, rotation_block
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -69,6 +69,28 @@ def random_normal_matrix(rng, n, min_gap=0.05, min_blocks=0):
         o[2 * l + j, 2 * l + j] = mu
     v = random_orthogonal(n, int(rng.integers(0, 2**31)))
     return v @ o @ v.T, list(zip(rs, thetas)), list(mus), v
+
+
+#: Normal spectra with a repeated eigenvalue, as (blocks, reals), and the
+#: seeds of ``random_orthogonal`` at which numpy returns a repeated real
+#: eigenvalue of V O V^T as a pair mu +- i eps with conjugate vectors.
+REPEATED_SPECTRA = {
+    "rot_pi3_half_half": ([(1.0, np.pi / 3)], [0.5, 0.5], [190]),
+    "two_i3": ([], [2.0] * 3, [68, 144, 163]),
+    "i4": ([], [1.0] * 4, [16, 40, 107, 133, 172]),
+    "i5": ([], [1.0] * 5, [67, 151, 159]),
+    "i6": ([], [1.0] * 6, [94, 151, 176]),
+    "rot_twice_minus_one_twice": ([(1.5, 1.0)] * 2, [-1.0, -1.0], [86, 195]),
+    "half_i4_minus_half_i2": ([], [0.5] * 4 + [-0.5] * 2, [13, 68]),
+}
+
+
+def repeated_normal(family, seed):
+    """V O V^T for the ``REPEATED_SPECTRA`` family, V = random_orthogonal(n, seed)."""
+    blocks, reals, _ = REPEATED_SPECTRA[family]
+    o = assemble_canonical(NormalCanonicalForm(None, blocks, reals, len(blocks)))
+    v = random_orthogonal(o.shape[0], seed)
+    return v @ o @ v.T
 
 
 def orthogonal_mapping_uniform_to(target):

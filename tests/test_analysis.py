@@ -6,6 +6,7 @@ import pytest
 
 from quasieig import (
     Cone,
+    DimensionMismatch,
     MatrixFacts,
     NotInterior,
     NotNormal,
@@ -28,11 +29,13 @@ from quasieig import (
 )
 from quasieig.analysis import assemble_canonical
 from helpers import (
+    REPEATED_SPECTRA,
     random_irreducible_nonneg,
     random_isc,
     random_matrix,
     random_metzler,
     random_normal_matrix,
+    repeated_normal,
 )
 
 ISC = np.array([[0.0, 2.0], [3.0, 0.0]])
@@ -248,6 +251,26 @@ def test_normal_canonical_form_degenerate_clusters():
     assert operator_norm(form2.u_a.T @ a2 @ form2.u_a - assemble_canonical(form2)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "family, seed", [(fam, seed) for fam, (_, _, seeds) in REPEATED_SPECTRA.items() for seed in seeds]
+)
+def test_normal_canonical_form_on_repeated_spectra(family, seed):
+    # Each repeated eigenspace gets one orthonormal basis from the QR; the
+    # block data are the spectrum in the documented order.
+    blocks, reals, _ = REPEATED_SPECTRA[family]
+    a = repeated_normal(family, seed)
+    n = a.shape[0]
+    form = normal_canonical_form(a)
+    assert operator_norm(form.u_a.T @ form.u_a - np.eye(n)) <= 1e-8
+    assert operator_norm(form.u_a.T @ a @ form.u_a - assemble_canonical(form)) <= 1e-8 * operator_norm(a)
+    assert form.l == len(blocks)
+    assert np.allclose(np.reshape(form.rotation_blocks, (-1, 2)), np.reshape(blocks, (-1, 2)), atol=1e-8)
+    assert form.real_eigs == pytest.approx(sorted(reals, reverse=True), abs=1e-8)
+    for cone in (Cone.orthant(n), Cone.rotated(random_orthogonal(n, 3))):
+        rep = theorem4_classify(a, cone)
+        assert rep.holds or not rep.applicable, rep
+
+
 def test_theorem4_classify_examples():
     rep = theorem4_classify([[0.0, -1.0], [1.0, 0.0]], ORTHANT2)
     assert rep.holds and "interior-subspace" in rep.details
@@ -266,6 +289,14 @@ def test_theorem4_classify_examples():
 
     with pytest.raises(NotNormal):
         theorem4_classify([[1.0, 1.0], [0.0, 1.0]], ORTHANT2)
+
+
+def test_theorem4_classify_rejects_a_cone_of_another_size():
+    with pytest.raises(DimensionMismatch, match="matrix and cone dimensions differ"):
+        theorem4_classify(np.eye(2), Cone.orthant(3))
+    # normality is checked first
+    with pytest.raises(NotNormal):
+        theorem4_classify([[1.0, 1.0], [0.0, 1.0]], Cone.orthant(3))
 
 
 def test_theorem4_aligned_cones_suite():
@@ -367,6 +398,11 @@ def test_invariance_check_examples():
         invariance_check(np.eye(2), ORTHANT2, [[1.0, 1.0], [0.0, 1.0]])
     rep = invariance_check(np.diag([0.5, 0.25]), ORTHANT2, givens_rotation(2, 0, 1, 0.3))
     assert rep.holds and rep.rhs == 2e-9  # ||A|| <= 1: the absolute 2 tol
+
+
+def test_invariance_check_rejects_a_change_of_variables_of_another_size():
+    with pytest.raises(DimensionMismatch):
+        invariance_check(np.diag([2.0, 1.0]), ORTHANT2, np.eye(3))
 
 
 @pytest.mark.parametrize(

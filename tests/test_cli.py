@@ -163,6 +163,22 @@ def test_normal_subcommand(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cone_spec", ["orthant", "rotation:3"])
+def test_normal_and_verify_run_on_a_repeated_eigenvalue(tmp_path, cone_spec):
+    # V (R(1, pi/3) + 0.5 + 0.5) V^T: numpy returns the double eigenvalue
+    # as a pair 0.5 +- i eps at this seed.  No real eigenvector meets the
+    # open cone, so the classification does not apply.
+    from helpers import repeated_normal
+
+    p = tmp_path / "repeated.json"
+    p.write_text(emit_matrix(repeated_normal("rot_pi3_half_half", 190)))
+    code, rep = run(RunConfig(subcommand="normal", matrix_path=str(p), cone_spec=cone_spec))
+    assert code == 2 and "error" not in rep, rep
+    assert rep["flags"]["real_eigs"] == pytest.approx([0.5, 0.5], abs=1e-8)
+    code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec=cone_spec))
+    assert code == 0 and "error" not in rep, rep
+
+
 def test_perturb_subcommand(tmp_path, ex1):
     base = tmp_path / "isc.json"
     base.write_text('{"n": 2, "rows": [[0, 2], [3, 0]]}')

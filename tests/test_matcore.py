@@ -75,6 +75,12 @@ def test_classify_example2_matrix():
     assert rep.irreducible and not rep.isc
 
 
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
+def test_classify_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValueError):
+        classify(np.eye(2), tol=tol)
+
+
 def test_classify_identity_and_isc():
     rep = classify(np.eye(2))
     assert rep.symmetric and rep.normal and rep.nonnegative and not rep.irreducible

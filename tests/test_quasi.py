@@ -190,6 +190,12 @@ def test_brute_minimax_examples():
     assert isup == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_quasi_pair_rejects_a_nonpositive_or_non_finite_tol(tol):
+    with pytest.raises(ValueError):
+        quasi_pair(np.eye(2), ORTHANT2, tol=tol)
+
+
 def test_brute_minimax_guards():
     with pytest.raises(UnsupportedDimension):
         brute_minimax(np.eye(4), Cone.orthant(4), 100)
