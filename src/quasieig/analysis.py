@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import Cone, cone_metric, givens_rotation, span_meets_interior
-from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal, NotOrthogonal
+from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal
 from .matcore import as_matrix, classify, eig_oracle, operator_norm, symmetric_part_eigs
 from .quasi import QuasiEigenResult, quasi_pair
 
@@ -84,9 +84,9 @@ def assemble_canonical(form: NormalCanonicalForm) -> np.ndarray:
 
 class MatrixFacts:
     """What the checkers derive from one matrix, each fact derived once, on
-    first use.  Pairs are memoised per ``(cone, tol)``: every orthant
-    shares one key, any other cone is keyed by the object itself.  A
-    checker handed a plain matrix builds a fresh record."""
+    first use.  Pairs are memoised per ``(cone.basis.tobytes(), tol)``:
+    cones with equal bases, every orthant of one size among them, share a
+    pair.  A checker handed a plain matrix builds a fresh record."""
 
     def __init__(self, a):
         self.a = as_matrix(a)
@@ -109,7 +109,7 @@ class MatrixFacts:
         return normal_canonical_form(self)
 
     def pair(self, cone: Cone, tol: float) -> QuasiEigenResult:
-        key = (None if cone.rotation is None else cone, tol)
+        key = (cone.basis.tobytes(), tol)
         if key not in self._pairs:
             self._pairs[key] = quasi_pair(self.a, cone, tol)
         return self._pairs[key]
@@ -194,11 +194,11 @@ def max_re_check(a, tol: float = 1e-9) -> TheoremReport:
     return _orthant_identity_check("max_real_part", a, tol)
 
 
-def _eig_is_simple(eigs, lam: float) -> bool:
-    """No other eigenvalue lies within 1e-6 of the one nearest ``lam``."""
-    vals = np.array([val for val, _ in eigs])
+def _eig_is_simple(facts: MatrixFacts, lam: float) -> bool:
+    """No other eigenvalue lies within ``1e-6 ||A||`` of the one nearest ``lam``."""
+    vals = np.array([val for val, _ in facts.eigs])
     nearest = vals[np.argmin(np.abs(vals - lam))]
-    return int(np.sum(np.abs(vals - nearest) <= 1e-6)) == 1
+    return int(np.sum(np.abs(vals - nearest) <= 1e-6 * facts.norm)) == 1
 
 
 def isc_check(a, tol: float = 1e-9) -> TheoremReport:
@@ -211,7 +211,7 @@ def isc_check(a, tol: float = 1e-9) -> TheoremReport:
     pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
     tau = _tau(facts, tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
-    simple = _eig_is_simple(facts.eigs, pair.lambda_upper)
+    simple = _eig_is_simple(facts, pair.lambda_upper)
     holds = (
         pair.is_saddle
         and pair.u_interior
@@ -265,7 +265,7 @@ def _cone_sign(cone: Cone, d: np.ndarray) -> str:
     pairs one-signedly against the cone, i.e. when U^T D U is entrywise
     one-signed; for the orthant that is D itself.
     """
-    local = d if cone.rotation is None else cone.rotation.T @ d @ cone.rotation
+    local = cone.basis.T @ d @ cone.basis
     if (local >= 0.0).all():
         return "nonnegative"
     if (local <= 0.0).all():
@@ -532,15 +532,14 @@ def invariance_check(a, cone: Cone, u, tol: float = 1e-9) -> TheoremReport:
     variables applied to the matrix and the cone together, to
     ``2 * tol * max(1, ||A||)``.  The bound scales with ``||A||`` because
     the search's feasibility slack, and with it each bracket, does.
-    Raises ``DimensionMismatch`` when ``u`` is not the shape of ``a``."""
+    Raises ``DimensionMismatch`` when ``u`` is not the shape of ``a`` and
+    ``NotOrthogonal`` when it is not orthogonal, both before any solve."""
     facts = _facts(a)
     u = as_matrix(u)
     if u.shape != facts.a.shape:
         raise DimensionMismatch("change-of-variables and matrix dimensions differ")
-    if operator_norm(u.T @ u - np.eye(u.shape[0])) > 1e-10:
-        raise NotOrthogonal("change-of-variables matrix is not orthogonal")
-    pair = facts.pair(cone, tol)
     conj = quasi_pair(u.T @ facts.a @ u, Cone.rotated(u.T @ cone.basis), tol)
+    pair = facts.pair(cone, tol)
     dev = max(
         abs(pair.lambda_upper - conj.lambda_upper),
         abs(pair.lambda_lower - conj.lambda_lower),

@@ -6,6 +6,7 @@ signs of ``U^T x``; subspace-vs-interior questions reduce to a small
 max-margin LP over signed coefficients.
 """
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -27,42 +28,41 @@ _SPAN_DECISION_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Cone:
-    """A self-dual solid cone ``U @ S_plus`` (origin excluded)."""
+    """A self-dual solid cone ``U @ S_plus`` (origin excluded), given by a
+    read-only copy of its orthonormal ``basis`` ``U``, the identity for the
+    orthant.  ``MatrixFacts`` keys its pairs by the basis bytes."""
 
-    n: int
-    rotation: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray = field(repr=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch("cone dimension must be >= 1")
-        if self.rotation is not None:
-            u = as_matrix(self.rotation)
-            if u.shape[0] != self.n:
-                raise DimensionMismatch("rotation size does not match cone dimension")
-            if operator_norm(u.T @ u - np.eye(self.n)) > _ORTHOGONALITY_TOL:
-                raise NotOrthogonal("cone rotation is not orthogonal within 1e-10")
-            object.__setattr__(self, "rotation", u)
+        u = np.array(as_matrix(self.basis))
+        gap = u.T @ u - np.eye(u.shape[0])
+        # An exact identity, every orthant's, needs no SVD.
+        if gap.any() and operator_norm(gap) > _ORTHOGONALITY_TOL:
+            raise NotOrthogonal("cone basis is not orthogonal within 1e-10")
+        u.flags.writeable = False
+        object.__setattr__(self, "basis", u)
+        object.__setattr__(self, "n", u.shape[0])
 
     @staticmethod
+    @functools.cache
     def orthant(n: int) -> "Cone":
-        return Cone(n=n)
+        """The orthant, built once per ``n``: its basis cannot change."""
+        if n < 1:
+            raise DimensionMismatch("cone dimension must be >= 1")
+        return Cone(np.eye(n))
 
     @staticmethod
     def rotated(u) -> "Cone":
-        u = as_matrix(u)
-        return Cone(n=u.shape[0], rotation=u)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthogonal matrix carrying the orthant onto this cone."""
-        return np.eye(self.n) if self.rotation is None else self.rotation
+        return Cone(u)
 
     def to_local(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of ``x`` in the cone's own axes (``U^T x``)."""
-        return x if self.rotation is None else self.rotation.T @ x
+        return self.basis.T @ x
 
     def from_local(self, w: np.ndarray) -> np.ndarray:
-        return w if self.rotation is None else self.rotation @ w
+        return self.basis @ w
 
 
 @dataclass(frozen=True)

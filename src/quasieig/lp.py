@@ -79,8 +79,8 @@ def solve_max_eps(problem) -> LpSolution:
         raise NonFinite("constraint matrix must be finite")
     m, k = g.shape
 
-    scale = float(np.max(np.abs(g)))
-    gs = g / scale if scale > 0.0 else g.copy()
+    scale = float(np.max(np.abs(g))) or 1.0
+    gs = g / scale
 
     # Variable layout: x (0..k-1), eps+ (k), eps- (k+1), slacks (k+2 ..).
     nvar = k + 2 + m
@@ -144,7 +144,7 @@ def solve_max_eps(problem) -> LpSolution:
     full[basis] = values
     x = full[:k].copy()
     x[(x < 0.0) & (x > -1e-12)] = 0.0
-    eps = float(full[k] - full[k + 1]) * (scale if scale > 0.0 else 1.0)
+    eps = float(full[k] - full[k + 1]) * scale
     # A slack column is -e_i with cost 0, so its reduced cost is the dual
     # of row i; the eps+/eps- columns force these duals to sum to 1.
     # Optimality leaves them >= -_REDCOST_TOL; clip that noise.

@@ -129,8 +129,7 @@ def _local_problem(a, cone: Cone):
     a = as_matrix(a)
     if a.shape[0] != cone.n:
         raise DimensionMismatch("matrix and cone dimensions differ")
-    u = cone.basis
-    return u.T @ a @ u if cone.rotation is not None else a
+    return cone.basis.T @ a @ cone.basis
 
 
 def _require_in_cone(cone: Cone, x, what: str) -> np.ndarray:

@@ -81,6 +81,15 @@ def test_isc_check_examples():
     assert not isc_check(np.eye(2)).applicable
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1.0, 1e7])
+def test_isc_check_reads_a_simple_eigenvalue_at_any_scale(scale):
+    # Eigenvalues +-2.45 scale lie within an absolute 1e-6 of each other
+    # for scale <= 1e-7; the window scales with ||A||.
+    rep = isc_check(scale * ISC)
+    assert rep.applicable and rep.holds, rep.details
+    assert "simple=True" in rep.details
+
+
 def test_perturbation_constants_examples():
     pb = perturbation_constants(ISC, ORTHANT2)
     assert pb.c1 == pytest.approx(math.sqrt(5.0) / math.sqrt(2.0), abs=1e-7)
@@ -508,17 +517,20 @@ def test_checkers_give_the_same_report_with_a_precomputed_pair(case, kind):
 
 
 def test_matrix_facts_keys_pairs_by_cone_and_tol():
-    # Every orthant is one key; a rotated cone is keyed by the object, so
-    # two cones with the same rotation are two keys; each tol is its own.
+    # A pair is keyed by the cone's basis and the tol: equal bases share
+    # one pair, every orthant among them; another basis or tol does not.
     a = REUSE_CASES["generic"]
     n = a.shape[0]
     facts = MatrixFacts(a)
     assert facts.pair(Cone.orthant(n), 1e-9) is facts.pair(Cone.orthant(n), 1e-9)
+    assert facts.pair(Cone.orthant(n), 1e-9) is facts.pair(Cone.rotated(np.eye(n)), 1e-9)
     assert facts.pair(Cone.orthant(n), 1e-9) is not facts.pair(Cone.orthant(n), 1e-8)
     u = random_orthogonal(n, 5)
-    first, second = Cone.rotated(u), Cone.rotated(u)
-    assert facts.pair(first, 1e-9) is facts.pair(first, 1e-9)
-    assert facts.pair(first, 1e-9) is not facts.pair(second, 1e-9)
+    first, second = Cone.rotated(u), Cone.rotated(u.copy())
+    assert facts.pair(first, 1e-9) is facts.pair(second, 1e-9)
+    assert facts.pair(first, 1e-9) is not facts.pair(first, 1e-8)
+    assert facts.pair(first, 1e-9) is not facts.pair(Cone.rotated(random_orthogonal(n, 6)), 1e-9)
+    assert facts.pair(first, 1e-9) is not facts.pair(Cone.orthant(n), 1e-9)
 
 
 def test_perron_check_reads_the_orthant_value_after_a_rotated_pair():
@@ -567,7 +579,7 @@ def test_checkers_read_no_rounding_at_large_scale(scale):
             if facts.flags.normal:
                 reps.append(theorem4_classify(facts, cone))
             failed = [r for r in reps if r.applicable and not r.holds]
-            assert not failed, (seed, cone.rotation is None, failed)
+            assert not failed, (seed, np.array_equal(cone.basis, np.eye(n)), failed)
 
 
 def test_orthant_identities_and_isc_share_one_orthant_pair(monkeypatch):

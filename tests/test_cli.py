@@ -57,6 +57,30 @@ def test_parse_errors(tmp_path):
         parse_matrix_file(str(inf))
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("bad.json", '{"n": 2,\n "rows": [[1, 2] [3, 4]]}',
+         "invalid JSON: Expecting ',' delimiter (line 2, column 18)"),
+        ("keys.json", '{"n": 2}', 'JSON matrix must be an object with "n" and "rows"'),
+        ("rows.json", '{"n": 2, "rows": [[1, 2]]}', '"rows" must hold 2 rows'),
+        ("empty.txt", "", "empty matrix file"),
+        ("first.txt", "two\n1 2\n3 4\n", "first line must hold the dimension (line 1, column 1)"),
+        ("zero.txt", "0\n", "dimension must be positive (line 1)"),
+        ("blank.txt", "2\n1 2\n\n3 oops\n", "bad number 'oops' (line 4, column 2)"),
+        ("few.txt", "2\n1 2\n", "expected 2 rows, found 1"),
+    ],
+)
+def test_each_parse_error_exits_1_with_its_message(tmp_path, capsys, name, text, message):
+    # A skipped blank line still counts toward the line number.
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(["classify", "--matrix", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == [f"error: {message}", "exit 1"]
+    assert "Traceback" not in out.err
+
+
 def test_integer_too_large_for_a_float_exits_1(tmp_path, capsys):
     # The text format reads the same number as inf; both exit 1 with a
     # report, not a traceback.
@@ -218,6 +242,28 @@ def test_main_exit_codes(tmp_path, ex1, capsys):
     assert main(["quasi", "--matrix", str(tmp_path / "missing.json")]) == 1
     assert main(["nope", "--matrix", ex1]) == 1
     assert main(["quasi", "--matrix", ex1, "--tol", "0.5"]) == 1
+
+
+def test_human_quasi_report(ex1, capsys):
+    assert main(["quasi", "--matrix", ex1]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["lambda_upper = 2", "lambda_lower = 1"]
+    assert lines[2].startswith("u_right = [") and lines[3].startswith("v_left  = [")
+    flags = ["u_interior", "v_interior", "is_saddle", "eigen_residual_right", "eigen_residual_left"]
+    assert [line.split(" = ")[0] for line in lines[4:-1]] == flags
+    assert lines[-1] == "exit 0"
+
+
+def test_human_verify_report_prints_one_line_per_theorem_report(tmp_path, capsys):
+    p = tmp_path / "isc.json"
+    p.write_text('{"n": 2, "rows": [[0, 2], [3, 0]]}')
+    code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p)))
+    assert main(["verify", "--matrix", str(p)]) == code == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = [line for line in lines if re.match(r"\[(HOLDS|N/A|FAILS)\] ", line)]
+    names = [r["name"] for r in rep["theorem_reports"]]
+    assert [line.split("] ")[1].split(":")[0] for line in status] == names
+    assert lines[-1] == "exit 0"
 
 
 def test_negative_seed_exits_1(ex1, capsys):

@@ -5,6 +5,7 @@ from quasieig import (
     Cone,
     DegenerateBasis,
     DimensionMismatch,
+    NonSquare,
     NotOrthogonal,
     cone_metric,
     contains,
@@ -21,6 +22,30 @@ def test_cone_construction_validates_rotation():
     Cone.rotated(np.eye(3))
     with pytest.raises(NotOrthogonal):
         Cone.rotated([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonSquare):
+        Cone.rotated(np.eye(3)[:2])
+    with pytest.raises(DimensionMismatch):
+        Cone.orthant(0)
+
+
+def test_a_cone_is_its_orthonormal_basis():
+    # The orthant is the cone whose basis is the identity; n comes from
+    # the basis, and no other attribute tells the orthant apart.
+    c = Cone.orthant(3)
+    assert c.n == 3 and np.array_equal(c.basis, np.eye(3))
+    assert not hasattr(c, "rotation")
+    u = random_orthogonal(4, 2)
+    r = Cone.rotated(u)
+    assert r.n == 4 and np.array_equal(r.basis, u)
+    x = np.array([0.5, -1.0, 2.0, 0.25])
+    assert np.array_equal(r.to_local(x), u.T @ x)
+    assert np.array_equal(r.from_local(x), u @ x)
+    # The basis is a read-only copy: neither the caller nor a reader can
+    # change the cone (or the basis bytes MatrixFacts keys it by).
+    u[0, 0] = 2.0
+    assert not np.array_equal(r.basis, u)
+    with pytest.raises(ValueError):
+        c.basis[0, 0] = 2.0
 
 
 def test_contains_examples():
@@ -141,6 +166,12 @@ def test_span_meets_interior_one_dim_matches_strict_containment():
             or contains(cone, -phi).in_interior
         )
         assert found == direct
+
+
+def test_span_meets_interior_rescales_the_witness_to_the_margin():
+    # The unit witness of span([1, 1]) has coordinates 1/sqrt(2) < tol.
+    w = span_meets_interior(Cone.orthant(2), [[1.0, 1.0]], tol=1.0)
+    assert w is not None and w.min() >= 1.0
 
 
 def test_span_meets_interior_rejects_degenerate():
