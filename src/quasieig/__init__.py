@@ -36,11 +36,9 @@ from .cones import (
     extreme_rays,
     givens_rotation,
     random_orthogonal,
-    span_meets_interior,
 )
 from .errors import (
     ConvergenceFailure,
-    DegenerateBasis,
     DegeneratePairing,
     DimensionMismatch,
     NonFinite,

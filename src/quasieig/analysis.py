@@ -20,9 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import Cone, cone_metric, givens_rotation, span_meets_interior
+from .cones import Cone, cone_metric, givens_rotation
 from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal
-from .matcore import as_matrix, classify, eig_oracle, operator_norm, symmetric_part_eigs
+from .lp import solve_max_eps
+from .matcore import (
+    as_matrix, classify, eig_oracle, is_irreducible, operator_norm, symmetric_part_eigs
+)
 from .quasi import QuasiEigenResult, quasi_pair
 
 
@@ -204,12 +207,15 @@ def _eig_is_simple(facts: MatrixFacts, lam: float) -> bool:
 def isc_check(a, tol: float = 1e-9) -> TheoremReport:
     """Irreducible sign-constant-off-diagonal matrices: the two
     quasi-eigenvalues over the orthant coincide at a simple eigenvalue
-    whose right and left eigenvectors are strictly positive."""
+    whose right and left eigenvectors are strictly positive.  Entries of
+    magnitude at most ``tau`` count as zero for irreducibility here."""
     facts = _facts(a)
     if not facts.flags.isc:
         return _not_applicable("isc_saddle", "matrix is not irreducible sign-constant")
-    pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
     tau = _tau(facts, tol)
+    if not is_irreducible(np.abs(facts.a) > tau):
+        return _not_applicable("isc_saddle", f"irreducible only through entries <= {_fmt(tau)}")
+    pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
     simple = _eig_is_simple(facts, pair.lambda_upper)
     holds = (
@@ -450,16 +456,6 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
     return form
 
 
-def _axes_in_subspaces(form: NormalCanonicalForm, cone: Cone) -> bool:
-    """Each axis of the cone lies in one invariant subspace of the
-    canonical form: the cone is the canonical form's orthant, up to a
-    rotation inside each 2-plane and an order of the axes."""
-    n = form.u_a.shape[0]
-    starts = [*range(0, 2 * form.l, 2), *range(2 * form.l, n)]
-    mass = np.add.reduceat((form.u_a.T @ cone.basis) ** 2, starts, axis=0)
-    return bool((mass.max(axis=0) >= 1.0 - 1e-8).all())
-
-
 def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     """Predict both quasi-eigenvalues of a normal matrix from which
     invariant subspaces of its canonical form meet the open cone, then
@@ -471,34 +467,36 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     The rule is proven in three cases, and the report applies only in
     them: in dimension 1 and 2; when a one-dimensional subspace (a real
     eigenvector, which is a right and a left eigenvector at once) meets
-    the open cone; and when the cone is the canonical form's orthant
-    (``_axes_in_subspaces``), where no subspace meets it.  Elsewhere a
-    rotation 2-plane can cut the open cone with neither of its axes
-    inside, or no subspace meets it at all, and the true values can fall
-    strictly between the eigenvalue real parts: the report is then not
-    applicable.
+    the open cone; and when the cone is the canonical form's orthant,
+    where no subspace meets it.  Elsewhere a rotation 2-plane can cut the
+    open cone with neither of its axes inside, or no subspace meets it at
+    all, and the true values can fall strictly between the eigenvalue
+    real parts: the report is then not applicable.
     """
     facts = _facts(a)
     form = facts.form
     n = facts.a.shape[0]
     if cone.n != n:
         raise DimensionMismatch("matrix and cone dimensions differ")
-    subspaces: list[tuple[float, list[np.ndarray]]] = []
-    for i, (r, theta) in enumerate(form.rotation_blocks):
-        cols = [form.u_a[:, 2 * i], form.u_a[:, 2 * i + 1]]
-        subspaces.append((r * math.cos(theta), cols))
-    for j, mu in enumerate(form.real_eigs):
-        subspaces.append((mu, [form.u_a[:, 2 * form.l + j]]))
-
-    meets = [span_meets_interior(cone, cols) is not None for _, cols in subspaces]
-    re_parts = [re for re, _ in subspaces]
+    # Column j of k is canonical axis j in the cone's local coordinates;
+    # each invariant subspace is a 2-plane's two columns or a real
+    # eigenvector's one.
+    k = cone.basis.T @ form.u_a
+    starts = [*range(0, 2 * form.l, 2), *range(2 * form.l, n)]
+    spans = np.split(k, starts[1:], axis=1)
+    re_parts = [r * math.cos(theta) for r, theta in form.rotation_blocks] + form.real_eigs
+    # A span meets the open cone iff a signed combination of its columns
+    # is positive: the max-margin LP over [k_S, -k_S] clears 1e-9.
+    meets = [solve_max_eps(np.hstack([ks, -ks])).eps_star > 1e-9 for ks in spans]
     # Past dimension 2 only a real eigenvector pins the values.  At most
     # one subspace is hit: no two orthogonal vectors lie inside the cone.
-    hit = [re for (re, cols), m in zip(subspaces, meets) if m and (n <= 2 or len(cols) == 1)]
+    hit = [re for re, ks, m in zip(re_parts, spans, meets) if m and (n <= 2 or ks.shape[1] == 1)]
     if hit:
         case = "interior-subspace"
         pred_up = pred_lo = hit[0]
-    elif n <= 2 or _axes_in_subspaces(form, cone):
+    # Every cone axis has all its mass in one subspace: the cone is the
+    # canonical form's orthant, up to rotations inside the 2-planes.
+    elif n <= 2 or (np.add.reduceat(k.T**2, starts, axis=0).max(axis=0) >= 1.0 - 1e-8).all():
         case = "boundary-only"
         pred_up, pred_lo = max(re_parts), min(re_parts)
     else:

@@ -2,8 +2,7 @@
 
 A cone here is ``U @ S_plus`` for an orthogonal ``U`` (the orthant itself
 when ``U`` is the identity).  Membership questions reduce to coordinate
-signs of ``U^T x``; subspace-vs-interior questions reduce to a small
-max-margin LP over signed coefficients.
+signs of ``U^T x``.
 """
 
 import functools
@@ -13,17 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBasis, DimensionMismatch, NotOrthogonal
-from .lp import solve_max_eps
+from .errors import DimensionMismatch, NotOrthogonal
 from .matcore import as_matrix, as_vector, operator_norm
 
 _ORTHOGONALITY_TOL = 1e-10
 #: Exhaustive permutation minimization in the cone metric is limited to this n.
 _METRIC_EXHAUSTIVE_MAX_N = 8
-#: A span is deemed to meet the interior when the unit-scaled margin LP
-#: clears this value; genuine intersections sit far above it, LP noise far
-#: below.
-_SPAN_DECISION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,42 +112,6 @@ def cone_metric(cone: Cone, other: Cone) -> float:
         d[perm, range(n)] -= 1.0
         best = min(best, float(np.linalg.norm(d, 2)))
     return best
-
-
-def span_meets_interior(cone: Cone, basis_vectors, tol: float = 1e-9) -> np.ndarray | None:
-    """A witness in ``span(basis_vectors)`` with all local coordinates
-    ``>= tol``, or ``None`` when the span misses the open cone.
-
-    The span is a linear space, so a witness exists iff some signed
-    combination has strictly positive local coordinates.  Writing the
-    coefficients as a difference of two simplex halves turns that into the
-    max-margin LP over ``[W, -W]``; a strictly positive optimal margin is
-    the yes answer, and the witness is rescaled to the requested margin.
-    """
-    vecs = [as_vector(v, cone.n) for v in basis_vectors]
-    if not 1 <= len(vecs) <= cone.n:
-        raise DimensionMismatch("need between 1 and n basis vectors")
-    s = np.column_stack(vecs)
-    norms = np.linalg.norm(s, axis=0)
-    if norms.min() <= 0.0:
-        raise DegenerateBasis("zero basis vector")
-    s = s / norms
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise DegenerateBasis("basis vectors are numerically dependent")
-
-    w = cone.to_local(s)
-    sol = solve_max_eps(np.hstack([w, -w]))
-    if sol.eps_star <= _SPAN_DECISION_MARGIN:
-        return None
-    kdim = s.shape[1]
-    coeff = sol.x_star[:kdim] - sol.x_star[kdim:]
-    x = s @ coeff
-    x = x / np.linalg.norm(x)
-    margin = float(cone.to_local(x).min())
-    if tol > 0.0 and margin < tol:
-        x = x * (tol / margin)
-    return x
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:

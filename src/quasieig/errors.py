@@ -30,10 +30,6 @@ class NumericalBreakdown(QuasiEigError):
     """
 
 
-class DegenerateBasis(QuasiEigError):
-    """Supplied basis vectors are linearly dependent."""
-
-
 class DegeneratePairing(QuasiEigError):
     """The inner product <u, v> is too close to zero for a Rayleigh quotient."""
 

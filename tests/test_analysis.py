@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 
@@ -13,6 +14,7 @@ from quasieig import (
     bounds_check,
     classify,
     cone_continuity_experiment,
+    contains,
     givens_rotation,
     invariance_check,
     isc_check,
@@ -30,6 +32,7 @@ from quasieig import (
 from quasieig.analysis import assemble_canonical
 from helpers import (
     REPEATED_SPECTRA,
+    random_cone,
     random_irreducible_nonneg,
     random_isc,
     random_matrix,
@@ -88,6 +91,21 @@ def test_isc_check_reads_a_simple_eigenvalue_at_any_scale(scale):
     rep = isc_check(scale * ISC)
     assert rep.applicable and rep.holds, rep.details
     assert "simple=True" in rep.details
+
+
+def test_isc_check_does_not_apply_through_rounding():
+    # V (2 I) V^T is 2 I up to off-diagonal rounding of about 1e-17, which
+    # the exact classify flags read as irreducible sign-constant.  At the
+    # checker's resolution the matrix is reducible, so the check does not
+    # apply, and on no repeated-spectrum matrix may it fail.
+    a = repeated_normal("two_i3", 68)
+    rep = isc_check(a)
+    assert classify(a).isc and not rep.applicable
+    assert "irreducible only through entries <= 2e-09" in rep.details
+    for family in REPEATED_SPECTRA:
+        for seed in range(200):
+            rep = isc_check(repeated_normal(family, seed))
+            assert rep.holds or not rep.applicable, (family, seed, rep.details)
 
 
 def test_perturbation_constants_examples():
@@ -372,6 +390,49 @@ def test_theorem4_detects_misaligned_counterexample():
         assert abs(pair.lambda_upper - si) <= 1e-2
         assert abs(si - isup) <= 1e-2
     assert found, "no misaligned counterexample found in the seed scan"
+
+
+def _meets_by_scan(a, cone):
+    """Which invariant subspaces of the canonical form meet the open cone,
+    read without an LP: a real eigenvector when +-phi is strictly
+    interior, a 2-plane when a 3,600-step scan of cos(t) p + sin(t) q
+    finds a point with every local coordinate above 1e-9."""
+    form = normal_canonical_form(a)
+    u = form.u_a
+    t = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    meets = []
+    for i in range(form.l):
+        points = np.outer(u[:, 2 * i], np.cos(t)) + np.outer(u[:, 2 * i + 1], np.sin(t))
+        meets.append(bool((cone.to_local(points).min(axis=0) > 1e-9).any()))
+    for phi in u[:, 2 * form.l:].T:
+        meets.append(contains(cone, phi).in_interior or contains(cone, -phi).in_interior)
+    return meets
+
+
+def _reported_meets(rep):
+    return ast.literal_eval(rep.details.split("meets=")[1].split("]")[0] + "]")
+
+
+def test_theorem4_meets_matches_an_independent_reading():
+    # Fixed cases first: [1, 1] meets the open quadrant and [1, -1] does
+    # not; the plane of the first two axes misses the open 4-orthant.
+    rep = theorem4_classify([[0.0, 1.0], [1.0, 0.0]], ORTHANT2)
+    assert _reported_meets(rep) == [True, False]
+    a4 = np.zeros((4, 4))
+    a4[:2, :2] = rotation_block(1.0, np.pi / 4)
+    a4[2:, 2:] = rotation_block(2.0, 3 * np.pi / 4)
+    assert _reported_meets(theorem4_classify(a4, Cone.orthant(4))) == [False, False]
+    rng = np.random.default_rng(31)
+    counts = {True: 0, False: 0}
+    for n in range(2, 7):
+        for _ in range(16):
+            a = random_normal_matrix(rng, n)[0]
+            cone = random_cone(rng, n)
+            meets = _reported_meets(theorem4_classify(a, cone))
+            assert meets == _meets_by_scan(a, cone), (n, meets)
+            for m in meets:
+                counts[m] += 1
+    assert min(counts.values()) >= 20, counts
 
 
 def test_theorem4_never_fails_on_seeded_normals_and_agrees_with_the_oracle():

@@ -3,7 +3,6 @@ import pytest
 
 from quasieig import (
     Cone,
-    DegenerateBasis,
     DimensionMismatch,
     NonSquare,
     NotOrthogonal,
@@ -13,7 +12,6 @@ from quasieig import (
     givens_rotation,
     operator_norm,
     random_orthogonal,
-    span_meets_interior,
 )
 from helpers import random_cone
 
@@ -136,50 +134,6 @@ def test_cone_metric_large_n_warns():
         warnings.simplefilter("always")
         d = cone_metric(a, b)
     assert len(rec) == 1 and d >= 0.0
-
-
-def test_span_meets_interior_examples():
-    c = Cone.orthant(2)
-    w = span_meets_interior(c, [[1.0, 1.0]])
-    assert w is not None and contains(c, w, tol=1e-12).in_interior
-    assert span_meets_interior(c, [[1.0, -1.0]]) is None
-    assert span_meets_interior(Cone.orthant(4), [np.eye(4)[0], np.eye(4)[1]]) is None
-
-
-def test_span_meets_interior_witness_margin():
-    c = random_cone(np.random.default_rng(4), 3)
-    basis = [c.from_local([1.0, 2.0, 0.5]), c.from_local([0.3, 0.1, 1.0])]
-    w = span_meets_interior(c, basis, tol=1e-6)
-    assert w is not None
-    assert c.to_local(w).min() >= 1e-6 - 1e-15
-
-
-def test_span_meets_interior_one_dim_matches_strict_containment():
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        n = int(rng.integers(2, 6))
-        cone = random_cone(rng, n)
-        phi = rng.standard_normal(n)
-        found = span_meets_interior(cone, [phi]) is not None
-        direct = (
-            contains(cone, phi).in_interior
-            or contains(cone, -phi).in_interior
-        )
-        assert found == direct
-
-
-def test_span_meets_interior_rescales_the_witness_to_the_margin():
-    # The unit witness of span([1, 1]) has coordinates 1/sqrt(2) < tol.
-    w = span_meets_interior(Cone.orthant(2), [[1.0, 1.0]], tol=1.0)
-    assert w is not None and w.min() >= 1.0
-
-
-def test_span_meets_interior_rejects_degenerate():
-    c = Cone.orthant(3)
-    with pytest.raises(DegenerateBasis):
-        span_meets_interior(c, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(DimensionMismatch):
-        span_meets_interior(c, [])
 
 
 def test_random_orthogonal_contracts():

@@ -19,7 +19,6 @@ from quasieig import (
     quasilinearity_probe,
     random_orthogonal,
     rayleigh,
-    span_meets_interior,
     symmetric_part_eigs,
 )
 from helpers import random_cone, random_irreducible_nonneg, random_isc, random_matrix
@@ -283,7 +282,7 @@ def test_symmetric_interior_eigenvector_case():
     from quasieig import givens_rotation
 
     cone = Cone.rotated(givens_rotation(2, 0, 1, np.pi / 4))
-    assert span_meets_interior(cone, [np.eye(2)[1]]) is not None
+    assert contains(cone, np.eye(2)[1]).in_interior
     r = quasi_pair(EX1, cone)
     assert r.lambda_upper == pytest.approx(1.0, abs=1e-8)
     assert r.lambda_lower == pytest.approx(1.0, abs=1e-8)
