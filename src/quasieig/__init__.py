@@ -17,7 +17,6 @@ from .analysis import (
     TheoremReport,
     assemble_canonical,
     bounds_check,
-    cone_continuity_experiment,
     invariance_check,
     isc_check,
     max_re_check,

@@ -1,11 +1,11 @@
 """Theorem-level checkers: Perron-root identities, spectral sandwiches,
-perturbation constants and stability bounds, cone-continuity sweeps,
-the normal-matrix canonical form, and its cone classification.
+perturbation constants and stability bounds, the normal-matrix canonical
+form, and its cone classification.
 
 Checkers return ``TheoremReport`` values rather than raising: a falsified
 bound is data, and so is an unmet hypothesis (``applicable=False``, which
 the CLI maps to its own exit code), except in ``theorem4_classify``
-(``NotNormal``) and ``cone_continuity_experiment`` (``NotInterior``).
+(``NotNormal``).
 Each checker takes a matrix or a ``MatrixFacts`` record; checkers handed
 one record share its solves and matrix facts.  Every comparison a
 checker makes against ``tol * max(1, ||A||)``: the search's feasibility
@@ -13,14 +13,13 @@ slack, and with it the width at which each bracket closes, grows with
 ``||A||``, and so does rounding in the values.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .cones import Cone, cone_metric, givens_rotation
+from .cones import Cone
 from .errors import ConvergenceFailure, DimensionMismatch, NotInterior, NotNormal
 from .lp import solve_max_eps
 from .matcore import (
@@ -53,8 +52,6 @@ class PerturbationBound:
     c1: float
     c2: float
     c0: float
-    u_interior: bool
-    v_interior: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,13 +252,7 @@ def perturbation_constants(a, cone: Cone, tol: float = 1e-9) -> PerturbationBoun
     if pair.u_interior:
         w = cone.to_local(pair.u_right / np.linalg.norm(pair.u_right))
         c2 = 1.0 / float(w.min())
-    return PerturbationBound(
-        c1=c1,
-        c2=c2,
-        c0=max(c1, c2),
-        u_interior=pair.u_interior,
-        v_interior=pair.v_interior,
-    )
+    return PerturbationBound(c1=c1, c2=c2, c0=max(c1, c2))
 
 
 def _cone_sign(cone: Cone, d: np.ndarray) -> str:
@@ -283,7 +274,12 @@ def perturbation_bound_check(a, cone: Cone, d, tol: float = 1e-9) -> TheoremRepo
     """Evaluate every perturbation inequality whose interiority gate is
     met: the one-sided Lipschitz bounds, the monotone one-signed cases,
     and the two-sided stability bound when both vectors are interior.
-    Raises ``DimensionMismatch`` when ``d`` is not the shape of ``a``."""
+    Raises ``DimensionMismatch`` when ``d`` is not the shape of ``a``.
+
+    Moving the cone is one such perturbation: the values of ``A`` over
+    ``R C`` are those of ``R^T A R`` over ``C``, so ``d = R^T A R - A``
+    checks cone continuity, ``dev <= c0 ||d|| <= 2 c0 ||A|| ||R - I||``,
+    and at the best representative ``R`` that is ``cone_metric(C, R C)``."""
     facts = _facts(a)
     d = as_matrix(d)
     if d.shape != facts.a.shape:
@@ -327,49 +323,6 @@ def perturbation_bound_check(a, cone: Cone, d, tol: float = 1e-9) -> TheoremRepo
         rhs=rhs_b,
         slack=slack,
         details=details,
-    )
-
-
-def cone_continuity_experiment(
-    a, cone: Cone, angles, tol: float = 1e-9, seed: int = 0
-) -> TheoremReport:
-    """Rotate the cone through the given angles and report the deviation
-    of the quasi-eigenvalues per unit of cone distance.
-
-    The bounding constant is not constructive, so nothing is asserted
-    against a closed form: the report carries the sweep (angle, distance,
-    deviation, ratio) as JSON in ``details`` and holds iff every ratio is
-    finite."""
-    facts = _facts(a)
-    base = facts.pair(cone, tol)
-    if not (base.u_interior and base.v_interior):
-        raise NotInterior("cone continuity requires interior quasi-eigenvectors")
-    lam = 0.5 * (base.lambda_upper + base.lambda_lower)
-    rng = np.random.default_rng(seed)
-    sweep = []
-    ratios = []
-    for theta in angles:
-        if cone.n == 2:
-            i, j = 0, 1
-        else:
-            i, j = rng.choice(cone.n, size=2, replace=False)
-        rot = givens_rotation(cone.n, int(i), int(j), float(theta))
-        moved_cone = Cone.rotated(rot @ cone.basis)
-        dist = cone_metric(cone, moved_cone)
-        moved = quasi_pair(facts.a, moved_cone, tol)
-        dev = max(abs(moved.lambda_upper - lam), abs(moved.lambda_lower - lam))
-        ratio = dev / dist if dist > 0.0 else 0.0
-        ratios.append(ratio)
-        sweep.append({"angle": float(theta), "distance": dist, "deviation": dev, "ratio": ratio})
-    holds = all(math.isfinite(r) for r in ratios)
-    worst = max(ratios) if ratios else 0.0
-    return TheoremReport(
-        name="cone_continuity",
-        holds=holds,
-        lhs=worst,
-        rhs=math.inf,
-        slack=math.inf,
-        details=json.dumps(sweep),
     )
 
 

@@ -52,8 +52,11 @@ class RunConfig:
 def parse_matrix_file(path: str) -> np.ndarray:
     """Load a matrix from JSON ({"n": ..., "rows": [[...], ...]}) or from
     whitespace text (first line n, then n rows of n reals)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ParseError("matrix file is not UTF-8 text")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_matrix_json(text)

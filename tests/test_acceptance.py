@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.
 """
 
-import json
 import math
 import time
 
@@ -16,10 +15,12 @@ from quasieig import (
     Cone,
     MatrixFacts,
     brute_minimax,
-    cone_continuity_experiment,
+    cone_metric,
     eig_oracle,
+    givens_rotation,
     invariance_check,
     operator_norm,
+    perturbation_bound_check,
     perturbation_constants,
     quasi_pair,
     random_orthogonal,
@@ -290,17 +291,28 @@ def test_criterion_9_skew_fixture():
 
 
 def test_criterion_10_cone_continuity():
+    # Rotating the cone by R is the perturbation D = R^T A R - A, so the
+    # stability bound gives dev <= c0 ||D|| <= 2 c0 ||A|| cone_metric(C, R C).
     t0 = time.perf_counter()
-    rep = cone_continuity_experiment(ISC, Cone.orthant(2), [0.1, 0.05, 0.01, 0.001], tol=1e-9)
-    sweep = json.loads(rep.details)
-    ratios = [s["ratio"] for s in sweep]
-    dev_last = sweep[-1]["deviation"]
-    c3_hat = max(ratios)
-    ok = (
-        rep.holds
-        and math.isfinite(c3_hat)
-        and all(s["deviation"] <= c3_hat * s["distance"] + 1e-12 for s in sweep)
-        and dev_last <= 1e-2
-    )
-    _report(10, "cone continuity sweep", ok, time.perf_counter() - t0, 5.0,
-            f"c3_hat={c3_hat:.3g} dev(0.001)={dev_last:.2e}")
+    cone = Cone.orthant(2)
+    facts = MatrixFacts(ISC)
+    base = facts.pair(cone, 1e-9)
+    lam = 0.5 * (base.lambda_upper + base.lambda_lower)
+    c0 = perturbation_constants(facts, cone).c0
+    scale = max(1.0, operator_norm(ISC))
+    ok = True
+    detail = ""
+    for theta in [0.1, 0.05, 0.01, 0.001]:
+        rot = givens_rotation(2, 0, 1, theta)
+        rep = perturbation_bound_check(facts, cone, rot.T @ ISC @ rot - ISC)
+        moved_cone = Cone.rotated(rot)
+        moved = quasi_pair(ISC, moved_cone)
+        dev = max(abs(moved.lambda_upper - lam), abs(moved.lambda_lower - lam))
+        bound = 2.0 * c0 * scale * cone_metric(cone, moved_cone) + 1e-9 * scale
+        detail = f"theta={theta:g} dev={dev:.2e} bound={bound:.2e}"
+        if not (rep.holds and dev <= bound):
+            ok = False
+            break
+    ok = ok and dev <= 1e-2
+    _report(10, "cone continuity via perturbation bound", ok, time.perf_counter() - t0, 5.0,
+            detail)

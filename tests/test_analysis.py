@@ -1,5 +1,4 @@
 import ast
-import json
 import math
 
 import numpy as np
@@ -11,9 +10,9 @@ from quasieig import (
     MatrixFacts,
     NotInterior,
     NotNormal,
+    PerturbationBound,
     bounds_check,
     classify,
-    cone_continuity_experiment,
     contains,
     givens_rotation,
     invariance_check,
@@ -148,22 +147,48 @@ def test_perturbation_bound_random_small_suite():
         assert rep.holds, rep
 
 
-def test_cone_continuity_experiment():
-    rep = cone_continuity_experiment(ISC, ORTHANT2, [0.1, 0.05, 0.01])
-    assert rep.holds
-    sweep = json.loads(rep.details)
-    assert [s["angle"] for s in sweep] == [0.1, 0.05, 0.01]
-    assert all(math.isfinite(s["ratio"]) for s in sweep)
-    devs = [s["deviation"] for s in sweep]
-    assert devs[-1] <= max(devs[0], 1e-8)
+def _rotation_perturbation(a, theta):
+    """``R^T A R - A`` for the Givens rotation ``R`` by ``theta``: the values
+    of ``A`` over ``R C`` are those of ``A`` plus this over ``C``."""
+    rot = givens_rotation(2, 0, 1, theta)
+    return rot.T @ a @ rot - a
 
-    rep = cone_continuity_experiment(np.eye(2), ORTHANT2, [0.0, 0.1])
-    sweep = json.loads(rep.details)
-    assert sweep[0]["deviation"] == pytest.approx(0.0, abs=1e-9)
-    assert sweep[1]["deviation"] == pytest.approx(0.0, abs=1e-8)
 
-    with pytest.raises(NotInterior):
-        cone_continuity_experiment(np.diag([2.0, 1.0]), ORTHANT2, [0.1])
+def test_perturbation_bound_check_on_cone_rotations():
+    for theta in [0.1, 0.05, 0.01]:
+        rep = perturbation_bound_check(ISC, ORTHANT2, _rotation_perturbation(ISC, theta))
+        assert rep.holds and rep.lhs <= rep.rhs, rep
+
+    d = _rotation_perturbation(np.eye(2), 0.0)
+    assert not d.any()
+    rep = perturbation_bound_check(np.eye(2), ORTHANT2, d)
+    assert rep.holds and rep.lhs == 0.0
+    rep = perturbation_bound_check(np.eye(2), ORTHANT2, _rotation_perturbation(np.eye(2), 0.1))
+    assert rep.holds and rep.slack == pytest.approx(0.0, abs=1e-9)
+
+    a = np.diag([2.0, 1.0])
+    rep = perturbation_bound_check(a, ORTHANT2, _rotation_perturbation(a, 0.1))
+    assert not rep.applicable and "boundary" in rep.details
+
+
+def test_perturbation_bound_check_fails_on_a_rotation_with_shrunken_constants(monkeypatch):
+    # At angle 0.3 the Perron vector of this matrix leaves the rotated
+    # orthant, and the two-sided deviation reaches 0.89 of c0 ||D||.
+    a = np.array([[0.6, 0.4], [0.2, 0.0]])
+    d = _rotation_perturbation(a, 0.3)
+    assert perturbation_bound_check(a, ORTHANT2, d).holds
+
+    import quasieig.analysis as analysis_module
+
+    real = analysis_module.perturbation_constants
+
+    def shrunken(*args, **kwargs):
+        pb = real(*args, **kwargs)
+        return PerturbationBound(c1=pb.c1 / 10.0, c2=pb.c2 / 10.0, c0=pb.c0 / 10.0)
+
+    monkeypatch.setattr(analysis_module, "perturbation_constants", shrunken)
+    rep = perturbation_bound_check(a, ORTHANT2, d)
+    assert rep.applicable and not rep.holds, rep
 
 
 def test_bounds_check_examples():

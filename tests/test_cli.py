@@ -69,15 +69,20 @@ def test_parse_errors(tmp_path):
         ("zero.txt", "0\n", "dimension must be positive (line 1)"),
         ("blank.txt", "2\n1 2\n\n3 oops\n", "bad number 'oops' (line 4, column 2)"),
         ("few.txt", "2\n1 2\n", "expected 2 rows, found 1"),
+        ("binary.txt", b"\xff\xfe", "matrix file is not UTF-8 text"),
     ],
 )
 def test_each_parse_error_exits_1_with_its_message(tmp_path, capsys, name, text, message):
     # A skipped blank line still counts toward the line number.
     f = tmp_path / name
-    f.write_text(text)
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["classify", "--matrix", str(f)]) == 1
     out = capsys.readouterr()
     assert out.out.splitlines() == [f"error: {message}", "exit 1"]
+    assert "Traceback" not in out.err
+    assert main(["quasi", "--matrix", str(f), "--json"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == message
     assert "Traceback" not in out.err
 
 
