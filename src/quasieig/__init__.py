@@ -6,7 +6,7 @@ Library layout:
 * ``cones``    - orthant / rotated-orthant cones, membership, cone metric
 * ``lp``       - dense max-margin simplex kernel
 * ``quasi``    - minimax quasi-eigenvalues via certified-cut LP search + grid oracle
-* ``analysis`` - theorem-level checkers and experiments
+* ``analysis`` - theorem-level checkers
 * ``cli``      - command-line interface and JSON reports
 """
 
@@ -32,13 +32,11 @@ from .cones import (
     ConeMembership,
     cone_metric,
     contains,
-    extreme_rays,
     givens_rotation,
     random_orthogonal,
 )
 from .errors import (
     ConvergenceFailure,
-    DegeneratePairing,
     DimensionMismatch,
     NonFinite,
     NonSquare,
@@ -59,9 +57,7 @@ from .matcore import (
     classify,
     eig_oracle,
     is_irreducible,
-    max_re,
     operator_norm,
-    spectral_radius,
     symmetric_part_eigs,
 )
 from .quasi import (
@@ -70,8 +66,6 @@ from .quasi import (
     inner_inf,
     inner_sup,
     quasi_pair,
-    quasilinearity_probe,
-    rayleigh,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,12 +78,6 @@ def contains(cone: Cone, x, tol: float = 1e-12) -> ConeMembership:
     return ConeMembership(in_cone=in_cone, in_interior=mc > tol, min_coordinate=mc)
 
 
-def extreme_rays(cone: Cone) -> list[np.ndarray]:
-    """The n unit generators of the cone's facial rays (columns of U)."""
-    u = cone.basis
-    return [u[:, i].copy() for i in range(cone.n)]
-
-
 def cone_metric(cone: Cone, other: Cone) -> float:
     """Distance ``min_P || I - U2 P U1^T ||`` over permutations of the
     orthant's axes.

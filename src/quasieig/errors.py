@@ -30,10 +30,6 @@ class NumericalBreakdown(QuasiEigError):
     """
 
 
-class DegeneratePairing(QuasiEigError):
-    """The inner product <u, v> is too close to zero for a Rayleigh quotient."""
-
-
 class NotInCone(QuasiEigError):
     """A vector expected inside the cone is not."""
 

@@ -161,12 +161,3 @@ def symmetric_part_eigs(m) -> np.ndarray:
     m = as_matrix(m)
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 
-
-def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude."""
-    return max(abs(lam) for lam, _ in eig_oracle(m))
-
-
-def max_re(m) -> float:
-    """Largest real part over the spectrum."""
-    return max(lam.real for lam, _ in eig_oracle(m))

@@ -61,13 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, contains
-from .errors import (
-    DegeneratePairing,
-    DimensionMismatch,
-    NotInCone,
-    NumericalBreakdown,
-    UnsupportedDimension,
-)
+from .errors import DimensionMismatch, NotInCone, NumericalBreakdown, UnsupportedDimension
 from .lp import solve_max_eps
 from .matcore import as_matrix, as_vector, operator_norm, symmetric_part_eigs
 
@@ -112,17 +106,6 @@ class QuasiEigenResult:
     eigen_residual_right: float
     eigen_residual_left: float
     tol: float
-
-
-def rayleigh(a, u, v) -> float:
-    """The two-sided Rayleigh quotient ``<A u, v> / <u, v>``."""
-    a = as_matrix(a)
-    u = as_vector(u, a.shape[0])
-    v = as_vector(v, a.shape[0])
-    den = float(u @ v)
-    if abs(den) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v):
-        raise DegeneratePairing("pairing <u, v> is numerically zero")
-    return float(a @ u @ v) / den
 
 
 def _local_problem(a, cone: Cone):
@@ -486,28 +469,3 @@ def brute_minimax(a, cone: Cone, grid_k: int) -> tuple[float, float]:
 
     return sup_inf, inf_sup
 
-
-def quasilinearity_probe(a, cone: Cone, trials: int, seed: int) -> bool:
-    """Sample check that the quotient is quasilinear in each argument on
-    the cone: values along segments stay between the endpoint values
-    (slack 1e-9).  Returns True iff every trial passes."""
-    a = as_matrix(a)
-    if cone.n != a.shape[0]:
-        raise DimensionMismatch("matrix and cone dimensions differ")
-    rng = np.random.default_rng(seed)
-    n = cone.n
-    slack = 1e-9
-    for _ in range(trials):
-        u = cone.from_local(rng.random(n) + 1e-12)
-        w = cone.from_local(rng.random(n) + 1e-12)
-        v = cone.from_local(rng.random(n) + 1e-3)
-        alpha = rng.random()
-        lu, lw = rayleigh(a, u, v), rayleigh(a, w, v)
-        mid = rayleigh(a, alpha * u + (1.0 - alpha) * w, v)
-        if not (min(lu, lw) - slack <= mid <= max(lu, lw) + slack):
-            return False
-        lu2, lw2 = rayleigh(a, v, u), rayleigh(a, v, w)
-        mid2 = rayleigh(a, v, alpha * u + (1.0 - alpha) * w)
-        if not (min(lu2, lw2) - slack <= mid2 <= max(lu2, lw2) + slack):
-            return False
-    return True

@@ -8,7 +8,6 @@ from quasieig import (
     NotOrthogonal,
     cone_metric,
     contains,
-    extreme_rays,
     givens_rotation,
     operator_norm,
     random_orthogonal,
@@ -86,18 +85,6 @@ def test_self_duality_sampled():
         if contains(cone, x).in_cone and contains(cone, y).in_cone:
             hits += 1
             assert float(x @ y) >= -1e-9
-
-
-def test_extreme_rays_examples():
-    rays = extreme_rays(Cone.orthant(3))
-    assert np.array_equal(np.column_stack(rays), np.eye(3))
-    rays = extreme_rays(Cone.rotated(givens_rotation(2, 0, 1, np.pi / 2)))
-    assert rays[0] == pytest.approx([0.0, 1.0], abs=1e-15)
-    assert rays[1] == pytest.approx([-1.0, 0.0], abs=1e-15)
-    rays = extreme_rays(Cone.rotated(np.eye(2)))
-    assert np.array_equal(np.column_stack(rays), np.eye(2))
-    for r in extreme_rays(random_cone(np.random.default_rng(2), 5)):
-        assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cone_metric_examples():

@@ -9,10 +9,8 @@ from quasieig import (
     classify,
     eig_oracle,
     is_irreducible,
-    max_re,
     operator_norm,
     random_orthogonal,
-    spectral_radius,
     symmetric_part_eigs,
 )
 from helpers import random_matrix
@@ -133,26 +131,6 @@ def test_symmetric_matrix_eigs_match_oracle():
         sym = symmetric_part_eigs(m)
         ora = sorted(lam.real for lam, _ in eig_oracle(m))
         assert sym == pytest.approx(ora, abs=1e-8)
-
-
-def test_spectral_radius_examples():
-    assert spectral_radius(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_radius([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_radius([[1.0, -1.0], [1.0, 1.0]]) == pytest.approx(np.sqrt(2), abs=1e-10)
-
-
-def test_spectral_radius_below_operator_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        m = random_matrix(rng, n)
-        assert spectral_radius(m) <= operator_norm(m) + 1e-9
-
-
-def test_max_re_examples():
-    assert max_re([[1.0, -1.0], [1.0, 1.0]]) == pytest.approx(1.0, abs=1e-10)
-    assert max_re([[0.0, -1.0], [1.0, 0.0]]) == pytest.approx(0.0, abs=1e-10)
-    assert max_re(np.diag([2.0, 1.0])) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_eig_oracle_dimension_guard():

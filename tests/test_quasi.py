@@ -6,7 +6,6 @@ import pytest
 
 from quasieig import (
     Cone,
-    DegeneratePairing,
     NotInCone,
     NumericalBreakdown,
     UnsupportedDimension,
@@ -16,9 +15,7 @@ from quasieig import (
     inner_inf,
     inner_sup,
     quasi_pair,
-    quasilinearity_probe,
     random_orthogonal,
-    rayleigh,
     symmetric_part_eigs,
 )
 from helpers import random_cone, random_irreducible_nonneg, random_isc, random_matrix
@@ -27,20 +24,6 @@ EX1 = np.diag([2.0, 1.0])
 EX2 = np.array([[1.0, -1.0], [1.0, 1.0]])
 ISC = np.array([[0.0, 2.0], [3.0, 0.0]])
 ORTHANT2 = Cone.orthant(2)
-
-
-def test_rayleigh_examples():
-    assert rayleigh(EX1, [1, 0], [1, 1]) == pytest.approx(2.0, abs=1e-15)
-    assert rayleigh(EX2, [1, 1], [1, 1]) == pytest.approx(1.0, abs=1e-15)
-    s = np.array([[2.0, 1.0], [1.0, 3.0]])
-    lam, phi = max(eig_oracle(s), key=lambda p: p[0].real)
-    v = phi.real
-    assert rayleigh(s, v, v) == pytest.approx(lam.real, abs=1e-10)
-
-
-def test_rayleigh_degenerate_pairing():
-    with pytest.raises(DegeneratePairing):
-        rayleigh(EX1, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_inner_inf_examples():
@@ -215,20 +198,6 @@ def test_brute_agrees_with_bisection_small_sample():
         budget = 5.0 * operator_norm(a) / 2000.0
         assert abs(si - isup) <= budget
         assert abs(lam - si) <= budget
-
-
-def test_quasilinearity_probe():
-    rng = np.random.default_rng(6)
-    a = random_matrix(rng, 4)
-    assert quasilinearity_probe(a, Cone.orthant(4), 1000, seed=7)
-    assert quasilinearity_probe(a, random_cone(rng, 4), 300, seed=8)
-    # endpoint equality: alpha in {0, 1} is exact by definition
-    u, v = np.array([1.0, 2.0, 0.5, 1.0]), np.array([0.5, 1.0, 1.0, 2.0])
-    assert rayleigh(a, 1.0 * u + 0.0 * v, v) == rayleigh(a, u, v)
-    # symmetric matrix, equal endpoints: constant along the segment
-    s = 0.5 * (a + a.T)
-    vals = [rayleigh(s, alpha * u + (1 - alpha) * u, u) for alpha in (0.2, 0.7)]
-    assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
 
 def test_eigenvector_in_cone_inequalities():
