@@ -43,9 +43,9 @@ from .errors import NonFinite, NumericalBreakdown
 _REDCOST_TOL = 1e-11
 _PIVOT_TOL = 1e-11
 # A row joins the Bland tie-break group only if choosing it over the true
-# minimum-ratio row damages feasibility by at most this much: the damage
-# is (ratio - best) * pivot-column entry, so a fixed ratio window would be
-# amplified arbitrarily by large column entries (the quasi-eigenvalue
+# minimum-ratio row i* damages feasibility by at most this much: the damage
+# falls on row i*, as (ratio - best) * col[i*], so a fixed ratio window would
+# be amplified arbitrarily by a large entry col[i*] (the quasi-eigenvalue
 # search drives these LPs nearly degenerate, where both effects occur
 # together).
 _TIE_DAMAGE_TOL = 1e-12
@@ -124,8 +124,8 @@ def solve_max_eps(problem) -> LpSolution:
         if rows.size == 0:
             raise NumericalBreakdown("unbounded pivot direction in max-eps LP")
         ratios = np.maximum(tableau[rows, nvar], 0.0) / col[rows]
-        best = float(ratios.min())
-        near = rows[(ratios - best) * col[rows] <= _TIE_DAMAGE_TOL]
+        first = int(ratios.argmin())
+        near = rows[(ratios - ratios[first]) * col[rows[first]] <= _TIE_DAMAGE_TOL]
         leave_row = int(near[basis[near].argmin()])  # Bland tie-break
 
         piv_row = tableau[leave_row] / tableau[leave_row, enter]

@@ -4,6 +4,8 @@ Everything is driven by an explicit ``numpy`` Generator so tests stay
 reproducible; acceptance criteria reuse these with their own seeds.
 """
 
+import math
+
 import numpy as np
 
 from quasieig import Cone, random_orthogonal
@@ -91,6 +93,17 @@ def repeated_normal(family, seed):
     o = assemble_canonical(NormalCanonicalForm(None, blocks, reals, len(blocks)))
     v = random_orthogonal(o.shape[0], seed)
     return v @ o @ v.T
+
+
+#: ``(family, seed, upper, lower)``: ``repeated_normal`` inputs whose search
+#: over ``Cone.rotated(random_orthogonal(6, 3))`` hands the LP ratio-test
+#: ties that damage primal feasibility unless each candidate is weighed by
+#: the minimum-ratio row's pivot-column entry, and the eigenvalue real
+#: parts that the two values equal.
+TIE_BREAK_INPUTS = [
+    ("rot_twice_minus_one_twice", 3, 1.5 * math.cos(1.0), -1.0),
+    ("half_i4_minus_half_i2", 39, 0.5, 0.5),
+]
 
 
 def orthogonal_mapping_uniform_to(target):

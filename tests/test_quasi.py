@@ -18,7 +18,15 @@ from quasieig import (
     random_orthogonal,
     symmetric_part_eigs,
 )
-from helpers import random_cone, random_irreducible_nonneg, random_isc, random_matrix
+from quasieig.cli import RunConfig, emit_matrix, run
+from helpers import (
+    TIE_BREAK_INPUTS,
+    random_cone,
+    random_irreducible_nonneg,
+    random_isc,
+    random_matrix,
+    repeated_normal,
+)
 
 EX1 = np.diag([2.0, 1.0])
 EX2 = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -536,3 +544,23 @@ def test_pair_lp_counts(monkeypatch, a, pair_lps):
     monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
     quasi_pair(a, Cone.orthant(a.shape[0]))
     assert len(solves) == pair_lps
+
+
+@pytest.mark.parametrize("family, seed, upper, lower", TIE_BREAK_INPUTS)
+def test_tie_break_inputs_solve_and_verify(tmp_path, family, seed, upper, lower):
+    # Repeated normal spectra over a rotated cone drive the LPs of the
+    # search nearly degenerate; the ratio-test tie-break must keep every
+    # pivot primal feasible, so the values, their certificates and the
+    # verify command all come out.
+    a = repeated_normal(family, seed)
+    cone = Cone.rotated(random_orthogonal(6, 3))
+    r = quasi_pair(a, cone)
+    tau = r.tol * max(1.0, np.linalg.norm(a, 2))
+    assert abs(r.lambda_upper - upper) <= tau
+    assert abs(r.lambda_lower - lower) <= tau
+    assert inner_inf(a, cone, r.u_right) >= r.lambda_upper - 2.0 * tau
+    assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * tau
+    p = tmp_path / "m.json"
+    p.write_text(emit_matrix(a))
+    code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
+    assert code == 0 and "error" not in rep, rep
