@@ -4,8 +4,6 @@ Everything is driven by an explicit ``numpy`` Generator so tests stay
 reproducible; acceptance criteria reuse these with their own seeds.
 """
 
-import math
-
 import numpy as np
 
 from quasieig import Cone, random_orthogonal
@@ -101,7 +99,7 @@ def repeated_normal(family, seed):
 #: the minimum-ratio row's pivot-column entry, and the eigenvalue real
 #: parts that the two values equal.
 TIE_BREAK_INPUTS = [
-    ("rot_twice_minus_one_twice", 3, 1.5 * math.cos(1.0), -1.0),
+    ("rot_twice_minus_one_twice", 3, 1.5 * np.cos(1.0), -1.0),
     ("half_i4_minus_half_i2", 39, 0.5, 0.5),
 ]
 
