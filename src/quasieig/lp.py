@@ -42,12 +42,12 @@ from .errors import NonFinite, NumericalBreakdown
 
 _REDCOST_TOL = 1e-11
 _PIVOT_TOL = 1e-11
-# A row joins the Bland tie-break group only if choosing it over the true
-# minimum-ratio row i* damages feasibility by at most this much: the damage
-# falls on row i*, as (ratio - best) * col[i*], so a fixed ratio window would
-# be amplified arbitrarily by a large entry col[i*] (the quasi-eigenvalue
-# search drives these LPs nearly degenerate, where both effects occur
-# together).
+# A row joins the Bland tie-break group only if choosing it damages every
+# row's feasibility by at most this much: leaving at ratio r drives row i to
+# (ratio_i - r) * col[i], so the group is the rows with ratio at most
+# min_i(ratio_i + tol / col[i]), which holds the minimum-ratio row.  A fixed
+# ratio window would be amplified arbitrarily by a large col[i] (the
+# quasi-eigenvalue search drives these LPs nearly degenerate).
 _TIE_DAMAGE_TOL = 1e-12
 
 
@@ -124,8 +124,7 @@ def solve_max_eps(problem) -> LpSolution:
         if rows.size == 0:
             raise NumericalBreakdown("unbounded pivot direction in max-eps LP")
         ratios = np.maximum(tableau[rows, nvar], 0.0) / col[rows]
-        first = int(ratios.argmin())
-        near = rows[(ratios - ratios[first]) * col[rows[first]] <= _TIE_DAMAGE_TOL]
+        near = rows[ratios <= (ratios + _TIE_DAMAGE_TOL / col[rows]).min()]
         leave_row = int(near[basis[near].argmin()])  # Bland tie-break
 
         piv_row = tableau[leave_row] / tableau[leave_row, enter]

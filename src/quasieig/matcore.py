@@ -15,6 +15,8 @@ from .errors import ConvergenceFailure, NonFinite, NonSquare, UnsupportedDimensi
 
 #: Largest dimension accepted by the dense eigenvalue oracle.
 MAX_EIG_DIM = 64
+#: Relative tolerance of ``classify``'s symmetry, skewness and normality tests.
+_CLASSIFY_TOL = 1e-10
 
 
 def as_matrix(values) -> np.ndarray:
@@ -90,14 +92,12 @@ def is_irreducible(m) -> bool:
     return bool(reach.all())
 
 
-def classify(m, tol: float = 1e-10) -> ClassificationReport:
+def classify(m) -> ClassificationReport:
     """Evaluate all structural predicates of ``m``.
 
-    ``tol`` only enters the symmetry, skew-symmetry and normality tests,
-    which compare against ``tol * ||m||`` resp. ``tol * ||m||**2``.
+    Only the symmetry, skew-symmetry and normality tests use a tolerance:
+    they compare against ``_CLASSIFY_TOL`` times ``||m||`` resp. ``||m||**2``.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be nonnegative and finite")
     m = as_matrix(m)
     n = m.shape[0]
     off = ~np.eye(n, dtype=bool)
@@ -112,9 +112,9 @@ def classify(m, tol: float = 1e-10) -> ClassificationReport:
     e = math.frexp(float(np.max(np.abs(m))))[1]
     s = np.ldexp(m, -e)
     nrm = operator_norm(s)
-    symmetric = operator_norm(s - s.T) <= tol * nrm
-    skew = operator_norm(s + s.T) <= tol * nrm
-    normal = operator_norm(s @ s.T - s.T @ s) <= tol * nrm * nrm
+    symmetric = operator_norm(s - s.T) <= _CLASSIFY_TOL * nrm
+    skew = operator_norm(s + s.T) <= _CLASSIFY_TOL * nrm
+    normal = operator_norm(s @ s.T - s.T @ s) <= _CLASSIFY_TOL * nrm * nrm
     return ClassificationReport(
         nonnegative=nonnegative,
         offdiag_nonneg=offdiag_nonneg,
@@ -125,7 +125,7 @@ def classify(m, tol: float = 1e-10) -> ClassificationReport:
         symmetric=symmetric,
         skew_symmetric=skew,
         normal=normal,
-        tolerance_used=tol,
+        tolerance_used=_CLASSIFY_TOL,
     )
 
 

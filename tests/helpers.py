@@ -10,6 +10,22 @@ from quasieig import Cone, random_orthogonal
 from quasieig.analysis import NormalCanonicalForm, assemble_canonical, rotation_block
 
 
+def record_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the rest of the test; returns the live list
+    of each call's positional arguments, one tuple per call.  Only that
+    module's binding is wrapped, so callers that imported the name
+    elsewhere are not recorded."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def random_matrix(rng, n, scale=1.0):
     return rng.uniform(-scale, scale, (n, n))
 

@@ -60,9 +60,7 @@ def solve_max_eps_reference(problem):
         if rows.size == 0:
             raise RuntimeError("unbounded pivot direction in max-eps LP")
         ratios = np.maximum(tableau[rows, nvar], 0.0) / col[rows]
-        i_star = int(rows[np.argmin(ratios)])
-        best = float(np.min(ratios))
-        near = rows[(ratios - best) * col[i_star] <= _TIE_DAMAGE_TOL]
+        near = rows[ratios <= (ratios + _TIE_DAMAGE_TOL / col[rows]).min()]
         leave_row = int(min(near, key=lambda i: basis[i]))
 
         piv_row = tableau[leave_row] / tableau[leave_row, enter]

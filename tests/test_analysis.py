@@ -37,6 +37,7 @@ from helpers import (
     random_matrix,
     random_metzler,
     random_normal_matrix,
+    record_calls,
     repeated_normal,
 )
 
@@ -673,14 +674,7 @@ def test_orthant_identities_and_isc_share_one_orthant_pair(monkeypatch):
     # on one record they solve it once.
     import quasieig.quasi as quasi_module
 
-    solved = []
-    search = quasi_module._search
-
-    def counted(*args):
-        solved.append(1)
-        return search(*args)
-
-    monkeypatch.setattr(quasi_module, "_search", counted)
+    solved = record_calls(monkeypatch, quasi_module, "_search")
     facts = MatrixFacts(ISC)
     reps = [perron_check(facts), max_re_check(facts), isc_check(facts)]
     assert all(r.applicable and r.holds for r in reps), reps

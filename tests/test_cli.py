@@ -1,14 +1,13 @@
 import json
 import re
-import sys
 
 import numpy as np
 import pytest
 
-import quasieig
 from quasieig import Cone, DimensionMismatch, NonFinite, ParseError, perturbation_bound_check
 from quasieig import cli
 from quasieig.cli import RunConfig, emit_json, emit_matrix, main, parse_matrix_file, run
+from helpers import record_calls
 
 
 @pytest.fixture
@@ -299,43 +298,6 @@ def test_emit_json_17_digits():
     assert emit_json([True, None, 3]) == "[true,null,3]"
 
 
-def _count_calls(monkeypatch, *names):
-    """Count the calls of each named library function through every
-    quasieig module that holds it by name; returns the live counts."""
-    counts = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for name in names:
-        fn = getattr(quasieig, name)
-        wrapped = counting(name, fn)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "quasieig" and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapped)
-    return counts
-
-
-def _count_pairs(monkeypatch):
-    """Count the runs of the quasi-eigenvalue search, one per solved pair;
-    returns the live list, one entry per run."""
-    import quasieig.quasi as quasi_module
-
-    solved = []
-    search = quasi_module._search
-
-    def counted(*args):
-        solved.append(1)
-        return search(*args)
-
-    monkeypatch.setattr(quasi_module, "_search", counted)
-    return solved
-
-
 def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
     # An n = 4 ISC matrix over the orthant has three distinct instances:
     # the base pair, the conjugated pair of the invariance check and the
@@ -344,20 +306,23 @@ def test_verify_solves_each_distinct_instance_once(tmp_path, monkeypatch):
     # vectors interior to the rotation:3 cone, so the perturbation check
     # still runs).  Every check reads one classification and at most one
     # eigendecomposition of the matrix.
+    import quasieig.analysis as analysis_module
+    import quasieig.quasi as quasi_module
     from helpers import random_isc
 
     p = tmp_path / "isc4.json"
     p.write_text(emit_matrix(random_isc(np.random.default_rng(55), 4, sign=1)))
-    counts = _count_calls(monkeypatch, "classify", "eig_oracle")
-    pairs = _count_pairs(monkeypatch)
+    classified = record_calls(monkeypatch, analysis_module, "classify")
+    decomposed = record_calls(monkeypatch, analysis_module, "eig_oracle")
+    pairs = record_calls(monkeypatch, quasi_module, "_search")
     for spec, expected in (("orthant", 3), ("rotation:3", 4)):
-        counts.update(dict.fromkeys(counts, 0))
-        pairs.clear()
+        for calls in (classified, decomposed, pairs):
+            calls.clear()
         code, _ = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec=spec))
         assert code == 0
         assert len(pairs) == expected, (spec, len(pairs))
-        assert counts["classify"] == 1, (spec, counts)
-        assert counts["eig_oracle"] <= 1, (spec, counts)
+        assert len(classified) == 1, spec
+        assert len(decomposed) <= 1, spec
 
 
 def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
@@ -367,9 +332,11 @@ def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
     # the Perron and max-real-part checks read the orthant pair, and they
     # share it.  With the base and conjugated pairs (both vectors are on
     # the boundary, so no perturbed pair), that is three pairs.
+    import quasieig.quasi as quasi_module
+
     p = tmp_path / "reducible.json"
     p.write_text('{"n": 3, "rows": [[1, 1, 0], [0, 2, 0], [0.5, 0, 0.7]]}')
-    pairs = _count_pairs(monkeypatch)
+    pairs = record_calls(monkeypatch, quasi_module, "_search")
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
     assert code == 0
     assert rep["flags"]["nonnegative"] and not rep["flags"]["isc"]
@@ -381,39 +348,31 @@ def test_verify_takes_the_norm_of_a_normal_matrix_once(tmp_path, monkeypatch):
     # so both the canonical form and the perturbation's scale need its
     # spectral norm; they share one.
     import quasieig.analysis as analysis_module
-    import quasieig.cli as cli_module
 
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     p = tmp_path / "sym.json"
     p.write_text(emit_matrix(m))
-    norms = []
-    norm = quasieig.operator_norm
-
-    def counted(x):
-        if np.array_equal(x, m):
-            norms.append(1)
-        return norm(x)
-
-    for mod in (analysis_module, cli_module):
-        monkeypatch.setattr(mod, "operator_norm", counted)
+    norms = [record_calls(monkeypatch, mod, "operator_norm") for mod in (analysis_module, cli)]
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p)))
     assert code == 0
     names = {r["name"] for r in rep["theorem_reports"]}
     assert {"normal_cone_classification", "perturbation_bounds"} <= names, names
-    assert len(norms) == 1
+    assert sum(np.array_equal(x, m) for calls in norms for x, in calls) == 1
 
 
 def test_normal_classifies_and_decomposes_the_matrix_once(tmp_path, monkeypatch):
+    import quasieig.analysis as analysis_module
     from helpers import random_normal_matrix
 
     p = tmp_path / "normal5.json"
     p.write_text(emit_matrix(random_normal_matrix(np.random.default_rng(3), 5)[0]))
-    counts = _count_calls(monkeypatch, "classify", "eig_oracle", "normal_canonical_form")
+    names = ("classify", "eig_oracle", "normal_canonical_form")
+    calls = {name: record_calls(monkeypatch, analysis_module, name) for name in names}
     code, rep = run(RunConfig(subcommand="normal", matrix_path=str(p)))
     # No real eigenvector of this matrix meets the open orthant, so the
     # classification does not apply; it still decomposes the matrix once.
     assert "error" not in rep and code == 2
-    assert counts == {"classify": 1, "eig_oracle": 1, "normal_canonical_form": 1}
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
 
 
 _EXIT_CASES = {

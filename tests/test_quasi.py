@@ -25,6 +25,7 @@ from helpers import (
     random_irreducible_nonneg,
     random_isc,
     random_matrix,
+    record_calls,
     repeated_normal,
 )
 
@@ -276,14 +277,7 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
 
     a = scale * random_irreducible_nonneg(np.random.default_rng(3), 4)
     rho = max(abs(lam) for lam, _ in eig_oracle(a))
-    solves = []
-    solve = quasi_module.solve_max_eps
-
-    def counting(g):
-        solves.append(1)
-        return solve(g)
-
-    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
     r = quasi_pair(a, Cone.orthant(4))
     assert abs(r.lambda_upper - rho) <= 1e-12 * rho
     assert abs(r.lambda_lower - rho) <= 1e-12 * rho
@@ -416,14 +410,7 @@ def test_lp_solves_per_value(monkeypatch):
     # takes far fewer LPs than the ~34 of plain bisection to tol 1e-9.
     import quasieig.quasi as quasi_module
 
-    solves = []
-    solve = quasi_module.solve_max_eps
-
-    def counting(g):
-        solves.append(1)
-        return solve(g)
-
-    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
     rng = np.random.default_rng(23)
     cases = [(EX1, ORTHANT2), (EX2, ORTHANT2), (ISC, ORTHANT2)]
     for k in range(24):
@@ -534,14 +521,7 @@ def test_pair_lp_counts(monkeypatch, a, pair_lps):
     # rule is deterministic.
     import quasieig.quasi as quasi_module
 
-    solves = []
-    solve = quasi_module.solve_max_eps
-
-    def counting(g):
-        solves.append(1)
-        return solve(g)
-
-    monkeypatch.setattr(quasi_module, "solve_max_eps", counting)
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
     quasi_pair(a, Cone.orthant(a.shape[0]))
     assert len(solves) == pair_lps
 
