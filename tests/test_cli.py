@@ -145,6 +145,16 @@ def test_oracle_subcommand_agrees(ex1):
     assert rep["flags"]["inf_sup"] == pytest.approx(2.0, abs=5e-3)
 
 
+def test_oracle_beyond_the_float32_range_stays_finite(tmp_path, capsys):
+    p = tmp_path / "isc_1e39.json"
+    p.write_text('{"n":2,"rows":[[0,2e39],[3e39,0]]}')
+    assert main(["oracle", "--matrix", str(p), "--json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    value = 6**0.5 * 1e39
+    for name in ("sup_inf", "inf_sup"):
+        assert flags[name] == pytest.approx(value, rel=1e-2)
+
+
 def test_quasi_and_oracle_agree_through_cli(tmp_path):
     rng = np.random.default_rng(42)
     p = tmp_path / "r3.json"

@@ -19,6 +19,7 @@ from quasieig import (
     symmetric_part_eigs,
 )
 from quasieig.cli import RunConfig, emit_matrix, run
+from grid_reference import brute_minimax_reference
 from helpers import (
     TIE_BREAK_INPUTS,
     random_cone,
@@ -192,6 +193,56 @@ def test_brute_minimax_guards():
         brute_minimax(np.eye(4), Cone.orthant(4), 100)
     with pytest.raises(ValueError):
         brute_minimax(np.eye(2), ORTHANT2, 5)
+    # grid_k must be an integer, numpy's included: a float such as 2000.5
+    # would change the grid silently.  It is checked before any work, so
+    # before the conjugation's dimension check.
+    for grid_k in (2000.5, 2000.0, True, "2000"):
+        with pytest.raises(ValueError, match="integer"):
+            brute_minimax(np.eye(3), ORTHANT2, grid_k)
+    assert brute_minimax(np.eye(2), ORTHANT2, np.int64(10)) == (1.0, 1.0)
+
+
+def _grid_reference_inputs():
+    """Seeded ``(a, cone, grid_k)``: n = 2 and 3 over the orthant and
+    rotated cones; generic, nonnegative, Jordan, diagonal and tied-integer
+    matrices at scales 1e-3 to 1e3; every grid_k in {10, 11, 37, 200}."""
+    rng = np.random.default_rng(2024)
+    for c in range(320):
+        n = 2 + c % 2
+        kind = (c // 2) % 5
+        if kind == 0:
+            a = random_matrix(rng, n)
+        elif kind == 1:
+            a = random_irreducible_nonneg(rng, n)
+        elif kind == 2:
+            a = rng.uniform(-1.0, 1.0) * np.eye(n) + np.eye(n, k=1)
+        elif kind == 3:
+            a = np.diag(rng.uniform(-1.0, 1.0, n))
+        else:
+            a = rng.integers(-2, 3, (n, n)).astype(float)
+        a = a * 10.0 ** float(rng.integers(-3, 4))
+        cone = Cone.orthant(n) if (c // 10) % 2 else random_cone(rng, n)
+        yield a, cone, (10, 11, 37, 200)[(c // 4) % 4]
+
+
+def test_brute_minimax_is_the_exact_grid_value():
+    # The per-row search returns the optimum of the full grid that
+    # tests/grid_reference.py evaluates point by point, up to rounding.
+    for a, cone, grid_k in _grid_reference_inputs():
+        got = brute_minimax(a, cone, grid_k)
+        ref = brute_minimax_reference(a, cone, grid_k)
+        tol = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+        assert got == pytest.approx(ref, abs=tol), (a, grid_k)
+
+
+def test_brute_minimax_is_positively_homogeneous():
+    # Scaling A by 2^e scales every numerator exactly and no denominator,
+    # so the values scale bit for bit, beyond the float32 range included.
+    a3 = random_matrix(np.random.default_rng(8), 3)
+    for a, cone in ((ISC, ORTHANT2), (a3, Cone.rotated(random_orthogonal(3, 8)))):
+        base = brute_minimax(a, cone, 2000)
+        for e in (-490, -160, -130, 100, 130, 490):
+            assert brute_minimax(np.ldexp(a, e), cone, 2000) == tuple(math.ldexp(x, e) for x in base)
 
 
 def test_brute_agrees_with_bisection_small_sample():
