@@ -32,7 +32,6 @@ from .cones import (
     ConeMembership,
     cone_metric,
     contains,
-    givens_rotation,
     random_orthogonal,
 )
 from .errors import (

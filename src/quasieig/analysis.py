@@ -47,22 +47,23 @@ class PerturbationBound:
     unit left quasi-eigenvector v, finite only when v is interior (it
     equals one over the smallest local coordinate of v, attained on an
     extreme ray); ``c2`` mirrors it with the unit right quasi-eigenvector.
+    ``c0`` is the larger of the two.
     """
 
     c1: float
     c2: float
-    c0: float
+    c0 = property(lambda self: max(self.c1, self.c2))
 
 
 @dataclass(frozen=True, eq=False)
 class NormalCanonicalForm:
-    """Orthogonal reduction of a normal matrix to rotation-scaling blocks
-    plus real scalars."""
+    """Orthogonal reduction of a normal matrix to ``l`` rotation-scaling
+    blocks plus real scalars."""
 
     u_a: np.ndarray = field(repr=False)
     rotation_blocks: list[tuple[float, float]]  # (r, theta), theta in (0, pi)
     real_eigs: list[float]
-    l: int
+    l = property(lambda self: len(self.rotation_blocks))
 
 
 def rotation_block(r: float, theta: float) -> np.ndarray:
@@ -252,7 +253,7 @@ def perturbation_constants(a, cone: Cone, tol: float = 1e-9) -> PerturbationBoun
     if pair.u_interior:
         w = cone.to_local(pair.u_right / np.linalg.norm(pair.u_right))
         c2 = 1.0 / float(w.min())
-    return PerturbationBound(c1=c1, c2=c2, c0=max(c1, c2))
+    return PerturbationBound(c1=c1, c2=c2)
 
 
 def _cone_sign(cone: Cone, d: np.ndarray) -> str:
@@ -400,7 +401,6 @@ def normal_canonical_form(a) -> NormalCanonicalForm:
         u_a=u_a,
         rotation_blocks=[(r, theta) for r, theta, _ in blocks],
         real_eigs=[float(vals[i].real) for i in reals],
-        l=len(blocks),
     )
     if operator_norm(u_a.T @ u_a - np.eye(len(vals))) > 1e-8:
         raise ConvergenceFailure("canonical basis lost orthogonality")

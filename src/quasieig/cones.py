@@ -121,15 +121,3 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
-
-def givens_rotation(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    """Plane rotation by ``theta`` in coordinates ``(i, j)``."""
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise DimensionMismatch("invalid rotation plane")
-    g = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g

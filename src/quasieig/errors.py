@@ -22,10 +22,10 @@ class ConvergenceFailure(QuasiEigError):
 
 
 class NumericalBreakdown(QuasiEigError):
-    """LP pivoting met an unbounded direction, exceeded its budget or lost
-    feasibility; or the quasi-eigenvalue search's starting bracket misses
-    a value, or the search exceeded its step budget (naming its bracket).
-
+    """LP pivoting met an unbounded direction, exceeded its pivot cap or
+    lost feasibility; or the quasi-eigenvalue search's starting bracket
+    misses a value, or a side of the search ran past its proven step
+    budget ``2 L + 1`` (a defect).  Search errors name their bracket.
     Callers may retry with a slightly jittered problem.
     """
 

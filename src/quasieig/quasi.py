@@ -80,8 +80,6 @@ SUPPORT_TOL = 1e-12
 # on instances whose infeasibility margin decays quadratically.
 _FEAS_TOL = 256.0 * np.finfo(float).eps
 
-_MAX_SEARCH_STEPS = 200
-
 # The two values by their side, in the order the search closes them:
 # ``+1`` the upper value, ``-1`` the lower one.
 _BOTH = (1, -1)
@@ -167,9 +165,8 @@ def _bracket(a) -> tuple[float, float, float]:
 
 
 def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> NumericalBreakdown:
-    """A ``NumericalBreakdown`` naming the bracket at which the search
-    stopped, in the coordinates of the value being solved for (the lower
-    side's bracket is kept negated and swapped, see ``_search``)."""
+    """A ``NumericalBreakdown`` naming the search's bracket in the value's
+    own coordinates (the lower side keeps it negated and swapped)."""
     if side < 0:
         lo, hi = -hi, -lo
     return NumericalBreakdown(
@@ -299,8 +296,22 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
     2`` inside the bracket and the side's previous step at least halved
     it (safeguarded as in Crouzeix, Ferland and Schaible 1985); otherwise
     the midpoint.  Either is strictly inside the bracket, as ``close / 2``
-    spans many floats at any value in it.  Each side has a budget of
-    ``_MAX_SEARCH_STEPS`` steps.
+    spans many floats at any value in it.
+
+    Each side's budget is ``2 L + 1`` steps, ``L = frexp(W / close)[1]``
+    for its width ``W`` when its steps start (so ``W <= 2^L close``
+    exactly), and no search reaches it.  Call a step halving when the
+    ``halved`` flag reads it so.  No test widens a bracket, a side steps
+    only while wider than ``close``, and a step after a non-halving one is
+    a midpoint.  A float midpoint misses the exact one by at most ``eps
+    scale`` (``[lo0, hi0]`` lies within ``1.01 scale`` of 0), so against a
+    width above ``512 eps scale`` it leaves under ``1 / sqrt 2`` of it.
+    Before step ``N`` let ``h`` steps halve, and ``m`` midpoints and ``s``
+    secant steps not.  Each of the ``s`` but the last is followed, past
+    non-halving midpoints, by a halving midpoint of its own: ``s <= h +
+    1``.  The widths give ``h + m / 2 < L``, so ``N - 1 = h + m + s <= 2 h
+    + m + 1 <= 2 L``, with no halving added to ``L`` for float midpoints.
+    A search past the budget has a defect; its error names the bracket.
     """
     # Factor 2 is the slack bound; a factor up to 8 leaves every bracket
     # at tol / 2 for ||A|| <= 1e3, a larger one coarsens large-scale values.
@@ -325,15 +336,13 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
         return brackets[side][1] - brackets[side][0]
 
     for side in _BOTH:
-        steps = 0
-        halved = True
+        budget = 2 * math.frexp(width(side) / close)[1] + 1
+        steps, halved = 0, True
         while width(side) > close:
             lo, hi = brackets[side]
             steps += 1
-            if steps > _MAX_SEARCH_STEPS:
-                raise _breakdown(
-                    f"search exceeded its step budget of {_MAX_SEARCH_STEPS} steps", lo, hi, tol, side
-                )
+            if steps > budget:
+                raise _breakdown(f"search exceeded its step budget of {budget} steps", lo, hi, tol, side)
             t = 0.5 * (lo + hi)
             if halved and len(history) == 2 and history[0][1] != history[1][1]:
                 (t0, e0), (t1, e1) = history
@@ -359,13 +368,17 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
 
     The upper value is the lower end of its certified bracket (a
     Collatz-Wielandt ratio below, an LP-dual cut above), the lower value
-    the upper end of its own.  Each bracket is at most ``max(tol / 2,
-    2 * 256 eps * max(1, ||A||))`` wide: the second term, twice the
-    largest feasibility slack of the search, is the larger one from
-    ``||A||`` about 4.4e3 at the default tol.  ``u_right`` and ``v_left``
+    the upper end of its own.  Each bracket is at most ``close = max(tol
+    / 2, 2 * 256 eps * max(1, ||A||))`` wide, the second term twice the
+    search's largest feasibility slack.  ``u_right`` and ``v_left``
     certify the values: ``inner_inf(a, cone, u_right) >= lambda_upper -
     2 * tol * max(1, ||A||)`` and ``inner_sup(a, cone, v_left) <=
     lambda_lower + 2 * tol * max(1, ||A||)``.
+
+    Cost: at most ``2 (2 L + 1) + 4`` LPs, ``L = ceil(log2((hi0 - lo0) /
+    close))`` on the symmetric-part bracket: each side's ``2 L + 1`` steps
+    (see ``_search``), two end tests and two ``_most_interior`` re-solves,
+    one LP each at most, and an LP of at most ``200 + 50 (3 n + 3)`` pivots.
 
     Caveat: on degenerate instances whose infeasibility margin decays
     like ``(t - value)^k`` past the optimum (nilpotent-type reducible

@@ -59,6 +59,14 @@ def random_isc(rng, n, sign=None):
     return a
 
 
+def givens_rotation(n, i, j, theta):
+    """Plane rotation by ``theta`` in coordinates ``(i, j)``."""
+    g = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    g[[i, j, i, j], [i, j, j, i]] = c, c, -s, s
+    return g
+
+
 def random_cone(rng, n):
     return Cone.rotated(random_orthogonal(n, int(rng.integers(0, 2**31))))
 
@@ -104,7 +112,7 @@ REPEATED_SPECTRA = {
 def repeated_normal(family, seed):
     """V O V^T for the ``REPEATED_SPECTRA`` family, V = random_orthogonal(n, seed)."""
     blocks, reals, _ = REPEATED_SPECTRA[family]
-    o = assemble_canonical(NormalCanonicalForm(None, blocks, reals, len(blocks)))
+    o = assemble_canonical(NormalCanonicalForm(None, blocks, reals))
     v = random_orthogonal(o.shape[0], seed)
     return v @ o @ v.T
 

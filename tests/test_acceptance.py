@@ -19,7 +19,6 @@ from quasieig import (
     brute_minimax,
     cone_metric,
     eig_oracle,
-    givens_rotation,
     invariance_check,
     operator_norm,
     perturbation_bound_check,
@@ -31,6 +30,7 @@ from quasieig import (
 )
 from quasieig.analysis import rotation_block
 from helpers import (
+    givens_rotation,
     orthogonal_mapping_uniform_to,
     random_irreducible_nonneg,
     random_isc,

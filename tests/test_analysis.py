@@ -14,7 +14,6 @@ from quasieig import (
     bounds_check,
     classify,
     contains,
-    givens_rotation,
     invariance_check,
     isc_check,
     max_re_check,
@@ -31,6 +30,7 @@ from quasieig import (
 from quasieig.analysis import assemble_canonical
 from helpers import (
     REPEATED_SPECTRA,
+    givens_rotation,
     random_cone,
     random_irreducible_nonneg,
     random_isc,
@@ -185,7 +185,7 @@ def test_perturbation_bound_check_fails_on_a_rotation_with_shrunken_constants(mo
 
     def shrunken(*args, **kwargs):
         pb = real(*args, **kwargs)
-        return PerturbationBound(c1=pb.c1 / 10.0, c2=pb.c2 / 10.0, c0=pb.c0 / 10.0)
+        return PerturbationBound(c1=pb.c1 / 10.0, c2=pb.c2 / 10.0)
 
     monkeypatch.setattr(analysis_module, "perturbation_constants", shrunken)
     rep = perturbation_bound_check(a, ORTHANT2, d)

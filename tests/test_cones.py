@@ -8,11 +8,10 @@ from quasieig import (
     NotOrthogonal,
     cone_metric,
     contains,
-    givens_rotation,
     operator_norm,
     random_orthogonal,
 )
-from helpers import random_cone
+from helpers import givens_rotation, random_cone
 
 
 def test_cone_construction_validates_rotation():

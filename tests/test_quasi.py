@@ -21,11 +21,15 @@ from quasieig import (
 from quasieig.cli import RunConfig, emit_matrix, run
 from grid_reference import brute_minimax_reference
 from helpers import (
+    REPEATED_SPECTRA,
     TIE_BREAK_INPUTS,
+    givens_rotation,
     random_cone,
     random_irreducible_nonneg,
     random_isc,
     random_matrix,
+    random_metzler,
+    random_normal_matrix,
     record_calls,
     repeated_normal,
 )
@@ -308,8 +312,6 @@ def test_symmetric_over_rotated_cones():
 def test_symmetric_interior_eigenvector_case():
     # Example-1 matrix over the quarter-turned cone: the e2 eigenvector
     # becomes interior, pinning both values to its eigenvalue 1.
-    from quasieig import givens_rotation
-
     cone = Cone.rotated(givens_rotation(2, 0, 1, np.pi / 4))
     assert contains(cone, np.eye(2)[1]).in_interior
     r = quasi_pair(EX1, cone)
@@ -321,7 +323,7 @@ def test_symmetric_interior_eigenvector_case():
 def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     # At ||A|| >= 1e7 the feasibility slack exceeds tol / 4, so each bracket
     # closes at twice the slack, not at tol / 2 (a search that waited for
-    # tol / 2 would retest one t until its 200-step budget ran out).  Both
+    # tol / 2 would retest one t until its step budget ran out).  Both
     # values are the Perron root to a relative 1e-12, and the pair costs at
     # most 24 LPs.
     import quasieig.quasi as quasi_module
@@ -334,13 +336,15 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     assert abs(r.lambda_lower - rho) <= 1e-12 * rho
     assert len(solves) <= 24
 
-    # The step budget still names where it stopped: the bracket, which
-    # holds the value, and the step count.
-    monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
-    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
+    # A search that stops narrowing runs out of its budget, derived from
+    # the bracket, and names where it stopped: the bracket, which holds
+    # the value, and the budget.
+    _stall_narrowing(monkeypatch, 4)
+    with pytest.raises(NumericalBreakdown) as exc:
         quasi_pair(a, Cone.orthant(4))
     lo, hi = _named_bracket(exc.value)
     assert lo <= rho <= hi
+    assert _named_budget(exc.value) <= _step_bound(a)
 
 
 def _two_block_cases():
@@ -389,22 +393,106 @@ def _named_bracket(exc) -> tuple[float, float]:
     return float(found.group(1)), float(found.group(2))
 
 
+def _named_budget(exc) -> int:
+    found = re.search(r"step budget of (\d+) steps", str(exc))
+    assert found, str(exc)
+    return int(found.group(1))
+
+
+def _step_bound(a) -> int:
+    """``2 L + 1``, the most steps a side of the search may take on ``a``
+    at the default tol: ``L`` halvings from the symmetric-part bracket
+    down to the width at which a bracket closes."""
+    import quasieig.quasi as quasi_module
+
+    lo0, hi0, scale = quasi_module._bracket(a)
+    close = max(0.5e-9, 2.0 * quasi_module._FEAS_TOL * scale)
+    return 2 * max(0, math.ceil(math.log2((hi0 - lo0) / close))) + 1
+
+
+def _stall_narrowing(monkeypatch, calls):
+    """Let the search narrow its brackets ``calls`` times and then no
+    more, so it steps at one bracket until its budget runs out."""
+    import quasieig.quasi as quasi_module
+
+    narrow, seen = quasi_module._narrow, []
+
+    def stalled(*args):
+        seen.append(args)
+        if len(seen) <= calls:
+            narrow(*args)
+
+    monkeypatch.setattr(quasi_module, "_narrow", stalled)
+
+
+def _bound_cases():
+    """Seeded inputs of every family the search meets: generic, ISC of
+    both signs, Metzler, Perron and normal matrices at n = 1-8 over the
+    orthant and a rotated cone, Jordan blocks of sizes 1-8, reducible
+    block-triangular matrices, Perron matrices at scales 1e-150 to 1e150,
+    repeated normal spectra, and transposed Jordan blocks of size 12 plus
+    uniform noise of size 1e-9, on some of which secant steps taken
+    without the halving guard creep past the budget."""
+    families = [
+        random_matrix,
+        lambda rng, n: random_isc(rng, n, 1),
+        lambda rng, n: random_isc(rng, n, -1),
+        random_metzler,
+        random_irreducible_nonneg,
+        lambda rng, n: random_normal_matrix(rng, n)[0],
+    ]
+    rng = np.random.default_rng(37)
+    cases = []
+    for n in range(1, 9):
+        for make in families:
+            for rotated in (False, True):
+                cases.append((make(rng, n), random_cone(rng, n) if rotated else Cone.orthant(n)))
+        cases.append((np.diag(np.ones(n - 1), 1), Cone.orthant(n)))
+        if n >= 2:
+            for make in (random_irreducible_nonneg, random_matrix):
+                a = make(rng, n)
+                a[n // 2:, : n // 2] = 0.0
+                cases.append((a, Cone.orthant(n)))
+    for scale in (1e-150, 1e-8, 1e7, 1e150):
+        cases.append((scale * random_irreducible_nonneg(rng, 4), Cone.orthant(4)))
+    for family, (_, _, seeds) in REPEATED_SPECTRA.items():
+        for seed in (*seeds, 0, 1):
+            a = repeated_normal(family, seed)
+            cases += [(a, Cone.orthant(a.shape[0])), (a, Cone.rotated(random_orthogonal(a.shape[0], 3)))]
+    for seed in range(40):
+        noise = np.random.default_rng(seed).uniform(-1e-9, 1e-9, (12, 12))
+        cases.append((np.diag(np.ones(11), -1) + noise, Cone.orthant(12)))
+    return cases
+
+
+def test_lp_calls_stay_within_the_stated_bound(monkeypatch):
+    # quasi_pair's cost bound: each side takes at most 2 L + 1 steps, L the
+    # halvings from the symmetric-part bracket down to the closing width,
+    # and a step, an end test or a re-solve costs at most one LP each.
+    import quasieig.quasi as quasi_module
+
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    for k, (a, cone) in enumerate(_bound_cases()):
+        before = len(solves)
+        quasi_pair(a, cone)
+        assert len(solves) - before <= 2 * _step_bound(a) + 4, (k, len(solves) - before)
+
+
 def test_step_budget_names_the_lower_bracket_in_its_own_coordinates(monkeypatch):
     # Next to a block whose upper value 3 the end tests settle, the search
     # runs out of steps on the lower value, the Perron root rho of the other
     # block.  The error names the lower value's bracket in the value's
     # coordinates: it holds rho (the upper value's bracket starts at 3).
-    import quasieig.quasi as quasi_module
-
     p = random_irreducible_nonneg(np.random.default_rng(3), 4)
     rho = max(abs(lam) for lam, _ in eig_oracle(p))
     split = np.zeros((5, 5))
     split[0, 0], split[1:, 1:] = 3.0, p
-    monkeypatch.setattr(quasi_module, "_MAX_SEARCH_STEPS", 2)
-    with pytest.raises(NumericalBreakdown, match="step budget of 2 steps") as exc:
+    _stall_narrowing(monkeypatch, 4)
+    with pytest.raises(NumericalBreakdown) as exc:
         quasi_pair(split, Cone.orthant(5))
     lo, hi = _named_bracket(exc.value)
     assert lo <= rho <= hi < 3.0
+    assert _named_budget(exc.value) <= _step_bound(split)
 
 
 def _homogeneity_cases():
@@ -473,21 +561,32 @@ def test_lp_solves_per_value(monkeypatch):
     assert len(solves) / (2 * len(cases)) <= 20.0
 
 
-def test_isc_values_within_half_tol_of_the_eigenvalue():
-    # For an ISC matrix over the orthant both values equal the eigenvalue
-    # with positive eigenvectors: the largest real part for ISC+, the
-    # smallest for ISC-.  Each value is the lower end of a bracket of width
-    # at most tol/2 that holds it.
-    rng = np.random.default_rng(24)
-    for k in range(30):
-        n = int(rng.integers(2, 9))
-        sign = 1 if k % 2 else -1
-        a = random_isc(rng, n, sign)
-        parts = [lam.real for lam, _ in eig_oracle(a)]
-        target = max(parts) if sign > 0 else min(parts)
+def test_values_lie_within_the_closing_width_of_the_eigenvalue():
+    # Over the orthant both values of a Perron, Metzler or ISC+ matrix are
+    # its largest eigenvalue real part, and of an ISC- matrix its smallest.
+    # Each value is an end of a bracket that holds it and closes at width
+    # close = max(tol / 2, 2 _FEAS_TOL scale), so it lies within close plus
+    # the feasibility slack of the eigenvalue: 300 seeded inputs, n = 2-8.
+    import quasieig.quasi as quasi_module
+
+    families = [
+        (random_irreducible_nonneg, max),
+        (random_metzler, max),
+        (lambda rng, n: random_isc(rng, n, 1), max),
+        (lambda rng, n: random_isc(rng, n, -1), min),
+    ]
+    rng = np.random.default_rng(43)
+    for k in range(300):
+        make, pick = families[k % 4]
+        n = 2 + k // 4 % 7
+        a = make(rng, n)
+        target = pick(lam.real for lam, _ in eig_oracle(a))
         r = quasi_pair(a, Cone.orthant(n))
-        assert abs(r.lambda_upper - target) <= 0.5 * r.tol, (k, r.lambda_upper - target)
-        assert abs(r.lambda_lower - target) <= 0.5 * r.tol, (k, r.lambda_lower - target)
+        scale = quasi_module._bracket(a)[2]
+        close = max(0.5 * r.tol, 2.0 * quasi_module._FEAS_TOL * scale)
+        within = close + 2.0 * quasi_module._FEAS_TOL * scale
+        assert abs(r.lambda_upper - target) <= within, (k, r.lambda_upper - target)
+        assert abs(r.lambda_lower - target) <= within, (k, r.lambda_lower - target)
 
 
 def test_search_has_no_dimension_limit():
@@ -505,8 +604,6 @@ def _pair_cases():
     the orthant and a rotated cone each: generic, ISC of both signs,
     Metzler, Perron, normal, reducible block-triangular, n = 1 and both
     paper examples."""
-    from helpers import random_metzler, random_normal_matrix
-
     def reducible(rng, n):
         a = random_irreducible_nonneg(rng, n)
         a[n // 2:, : n // 2] = 0.0
