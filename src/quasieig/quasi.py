@@ -184,9 +184,11 @@ def _shift(b: np.ndarray, t: float):
     return g, _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
 
 
-def _answer(g: np.ndarray, t: float, slack: float, w: np.ndarray, y: np.ndarray):
+def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: np.ndarray,
+            gty: np.ndarray):
     """The upper side's answer at ``t`` from a simplex point ``w`` and a
-    weight ``y >= 0`` on the rows of ``G = B - t I``.
+    weight ``y >= 0`` on the rows of ``G = B - t I``, given ``gw = G w``
+    and ``gty = G^T y``.
 
     Returns ``(w, bound)`` when the recomputed margin ``min(G w)`` is at
     least ``-slack``, with ``bound`` the ratio ``min (B w)_i / w_i`` over
@@ -197,13 +199,13 @@ def _answer(g: np.ndarray, t: float, slack: float, w: np.ndarray, y: np.ndarray)
     y^T (B - s I) w' <= max(G^T y) + (t - s) max(y)``.  Without the slack
     term, rounding in ``G^T y`` could cut below accepted points once it
     exceeds ``tol`` (large ``||A||``).  The lower side's answer is this
-    one on ``-G^T`` at ``-t`` with the roles of ``w`` and ``y`` swapped.
+    one on ``-G^T`` at ``-t`` with the roles of ``w`` and ``y`` swapped,
+    so with ``gw = -G^T y`` and ``gty = -G w``.
     """
-    gw = g @ w
     if gw.min() >= -slack:
         sup = w > SUPPORT_TOL
         return w, t + float((gw[sup] / w[sup]).min())
-    return None, t + (float((g.T @ y).max()) + slack * float(y.sum())) / float(y.max())
+    return None, t + (float(gty.max()) + slack * float(y.sum())) / float(y.max())
 
 
 def _test(b: np.ndarray, t: float):
@@ -236,9 +238,14 @@ def _test(b: np.ndarray, t: float):
     if len(found) == 2:
         return found, None
     sol = solve_max_eps(g)
-    found.setdefault(1, _answer(g, t, slack, sol.x_star, sol.y_star))
-    found.setdefault(-1, _answer(-g.T, -t, slack, sol.y_star, sol.x_star))
-    return found, float((g @ sol.x_star).min())
+    # Negation is exact: -gty and -gx have the bits of (-G^T) y and (-G^T)^T x.
+    x, y = sol.x_star, sol.y_star
+    gx, gty = g @ x, g.T @ y
+    if 1 not in found:
+        found[1] = _answer(t, slack, x, y, gx, gty)
+    if -1 not in found:
+        found[-1] = _answer(-t, slack, y, x, -gty, -gx)
+    return found, float(gx.min())
 
 
 def _most_interior(b: np.ndarray, t: float, fallback: np.ndarray) -> np.ndarray:

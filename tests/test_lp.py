@@ -1,8 +1,27 @@
 import numpy as np
 import pytest
 
-from quasieig import LpSolution, NonFinite, solve_max_eps
-from helpers import TIE_BREAK_INPUTS, random_matrix, record_calls, repeated_normal
+from quasieig import (
+    Cone,
+    LpSolution,
+    NonFinite,
+    NumericalBreakdown,
+    QuasiEigError,
+    quasi_pair,
+    solve_max_eps,
+)
+from quasieig.cli import RunConfig, emit_json, emit_matrix, run
+from helpers import (
+    TIE_BREAK_INPUTS,
+    random_cone,
+    random_irreducible_nonneg,
+    random_isc,
+    random_matrix,
+    random_metzler,
+    random_normal_matrix,
+    record_calls,
+    repeated_normal,
+)
 
 
 def grid_best_margin(g, step=1e-3):
@@ -233,3 +252,127 @@ def test_transposed_game_has_the_negated_value():
         flipped = solve_max_eps(-g.T)
         assert abs(flipped.eps_star + sol.eps_star) <= 1e-12 * float(np.max(np.abs(g))), i
         assert float((g.T @ sol.y_star).max()) <= sol.eps_star + 1e-9, i
+
+
+def _search_corpus():
+    """Seeded ``quasi_pair`` inputs in the mix of the ``pair_small``
+    benchmark: generic, ISC, Metzler and Perron matrices at n = 1-8 over
+    the orthant and a rotated cone, Jordan blocks of sizes 2, 3, 4 and 6,
+    reducible block-triangular matrices, and Perron matrices at 1e-150
+    and 1e150.  The Jordan and 1e-150 values are off by the search's
+    known defects, which must not move either."""
+    rng = np.random.default_rng(22)
+    cases = []
+    for n in range(1, 9):
+        for make in (random_matrix, random_isc, random_metzler, random_irreducible_nonneg):
+            cases += [(make(rng, n), Cone.orthant(n)), (make(rng, n), random_cone(rng, n))]
+    for k in (2, 3, 4, 6):
+        cases.append((np.diag(np.ones(k - 1), 1), Cone.orthant(k)))
+    for n in (3, 4, 6, 8):
+        a = random_irreducible_nonneg(rng, n)
+        a[n // 2:, : n // 2] = 0.0
+        cases.append((a, Cone.orthant(n)))
+    for scale in (1e-150, 1e150):
+        cases.append((scale * random_irreducible_nonneg(rng, 4), Cone.orthant(4)))
+        cases.append((scale * random_irreducible_nonneg(rng, 3), random_cone(rng, 3)))
+    return cases
+
+
+def _search_pivots(monkeypatch, cases):
+    """The pivots of every LP the searches of ``cases`` solve, in order."""
+    import quasieig.quasi as quasi_module
+
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    for a, cone in cases:
+        quasi_pair(a, cone)
+    return [solve_max_eps(g).pivots for (g,) in solves]
+
+
+def test_solution_reports_its_pivots_and_final_basis():
+    # The final basis, solved on G itself, reproduces the returned vertex.
+    assert solve_max_eps(np.eye(2)).pivots == 1
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        m, k = (int(x) for x in rng.integers(1, 8, 2))
+        g = rng.uniform(-2.0, 2.0, (m, k))
+        sol = solve_max_eps(g)
+        assert sol.pivots >= 0 and len(set(sol.basis.tolist())) == sol.basis.size == m + 1
+        a = np.zeros((m + 1, k + 2 + m))
+        a[:m, :k], a[:m, k], a[:m, k + 1], a[:m, k + 2:] = g, -1.0, 1.0, -np.eye(m)
+        a[m, :k] = 1.0
+        full = np.zeros(k + 2 + m)
+        full[sol.basis] = np.linalg.solve(a[:, sol.basis], np.eye(m + 1)[m])
+        assert np.allclose(full[:k], sol.x_star, atol=1e-9)
+        assert full[k] - full[k + 1] == pytest.approx(sol.eps_star, abs=1e-9)
+
+
+# Bland's rule repeats each pivot sequence, so these counts are exact.  They
+# were counted on the kernel before it reported its pivots.
+@pytest.mark.parametrize("a, pivots", [
+    (np.diag([2.0, 1.0]), [1, 1, 0, 0]),
+    (np.array([[1.0, -1.0], [1.0, 1.0]]), [0, 0]),
+], ids=["example1", "example2"])
+def test_search_pivots_on_the_paper_examples(monkeypatch, a, pivots):
+    assert _search_pivots(monkeypatch, [(a, Cone.orthant(2))]) == pivots
+
+
+def test_search_pivots_over_a_seeded_corpus(monkeypatch):
+    pivots = _search_pivots(monkeypatch, _search_corpus())
+    assert (len(pivots), sum(pivots)) == (1249, 5714)
+
+
+def _reference_kernel(problem):
+    """The frozen reference as a drop-in for ``solve_max_eps``; it reports
+    no pivots or basis, which no search reads."""
+    from lp_reference import solve_max_eps_reference
+
+    try:
+        eps, x, y = solve_max_eps_reference(problem)
+    except RuntimeError as err:
+        raise NumericalBreakdown(str(err)) from None
+    return LpSolution(eps_star=eps, x_star=x, y_star=y, pivots=-1, basis=None)
+
+
+def _pair_bits(a, cone):
+    try:
+        r = quasi_pair(a, cone)
+    except QuasiEigError as err:
+        return repr(err)
+    floats = (r.lambda_upper, r.lambda_lower, r.eigen_residual_right, r.eigen_residual_left)
+    return ([float(v).hex() for v in floats], r.u_right.tobytes(), r.v_left.tobytes(),
+            (r.u_interior, r.v_interior, r.is_saddle))
+
+
+def _verify_bits(path):
+    code, report = run(RunConfig(subcommand="verify", matrix_path=path, seed=3, output="json"))
+    return code, emit_json(report)
+
+
+def test_searches_and_verify_match_the_frozen_reference_bit_for_bit(monkeypatch, tmp_path):
+    # Whole searches on the library kernel and on the frozen reference give
+    # the same values, vectors, flags and verify JSON, to the bit.
+    import quasieig.analysis as analysis_module
+    import quasieig.quasi as quasi_module
+
+    rng = np.random.default_rng(23)
+    paths = []
+    for i, a in enumerate([random_isc(rng, 4, 1), random_isc(rng, 5, -1), random_metzler(rng, 4),
+                           random_irreducible_nonneg(rng, 6), random_normal_matrix(rng, 5)[0],
+                           random_matrix(rng, 4)]):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(emit_matrix(a))
+        paths.append(str(path))
+    cases = _search_corpus()
+
+    def outcomes():
+        return [_pair_bits(a, cone) for a, cone in cases] + [_verify_bits(p) for p in paths]
+
+    library = outcomes()
+    monkeypatch.setattr(quasi_module, "solve_max_eps", _reference_kernel)
+    monkeypatch.setattr(analysis_module, "solve_max_eps", _reference_kernel)
+    solved = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    cone_lps = record_calls(monkeypatch, analysis_module, "solve_max_eps")
+    reference = outcomes()
+    assert solved and cone_lps
+    for i, (lib, ref) in enumerate(zip(library, reference, strict=True)):
+        assert lib == ref, i

@@ -674,6 +674,28 @@ def test_pair_lp_counts(monkeypatch, a, pair_lps):
     assert len(solves) == pair_lps
 
 
+def test_pure_row_strategy_cuts_the_upper_bracket_below_t():
+    # At t = 0 the first row of G = [[-1, -1], [1, 1]] is negative
+    # everywhere, so e_1 proves the upper side infeasible without an LP and
+    # cuts it to t + (max(G^T e_1) + slack), below t; the lower side is
+    # feasible at e_1.  A cut above t would be clamped back to t unseen.
+    import quasieig.quasi as quasi_module
+
+    t = 0.0
+    found, margin = quasi_module._test(np.array([[-1.0, -1.0], [1.0, 1.0]]), t)
+    assert found[1] == (None, t + (-1.0 + quasi_module._FEAS_TOL))
+    assert margin is None
+
+
+def test_interiority_reads_the_stated_margin():
+    # Both vectors of [[1, 5e-8], [5e-8, 0]] over the orthant have a
+    # smallest coordinate near 5e-8 (4.95e-8 in u_right), inside 10 tol
+    # but not 100 tol, so the flags pin the margin at 10 tol.
+    r = quasi_pair(np.array([[1.0, 5e-8], [5e-8, 0.0]]), ORTHANT2)
+    assert 1e-8 < r.u_right.min() < 1e-7 and 1e-8 < r.v_left.min() < 1e-7
+    assert r.u_interior and r.v_interior and r.is_saddle
+
+
 @pytest.mark.parametrize("family, seed, upper, lower", TIE_BREAK_INPUTS)
 def test_tie_break_inputs_solve_and_verify(tmp_path, family, seed, upper, lower):
     # Repeated normal spectra over a rotated cone drive the LPs of the
