@@ -77,19 +77,27 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def is_irreducible(m) -> bool:
-    """True iff the digraph with an edge i -> j whenever ``|m[i, j]| > 0``
-    is strongly connected, i.e. iff ``(I + |m|)^(n-1) > 0`` (Horn &
-    Johnson, *Matrix Analysis*, 6.2).  Squaring the boolean closure
-    ``n.bit_length()`` times covers every path; its float products count
-    paths (at most n), so they are exact.  A 1x1 matrix is irreducible.
-    """
-    m = as_matrix(m)
+def _strong_components(m: np.ndarray) -> list[np.ndarray]:
+    """The strong components of the digraph with an edge i -> j whenever
+    ``|m[i, j]| > 0``, as index arrays, sources first.  i reaches j iff
+    ``((I + |m|)^(n-1))_ij > 0`` (Horn & Johnson 6.2), and squaring the
+    boolean closure ``n.bit_length()`` times covers every path in exact
+    float products.  A component reaching another has fewer reachers."""
     n = m.shape[0]
+    if m.all():  # every edge: one component, without the closure
+        return [np.arange(n)]
     reach = (np.abs(m) > 0.0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = (reach.astype(float) @ reach) > 0.0
-    return bool(reach.all())
+    head = (reach & reach.T).argmax(axis=1)  # each node's lowest-index mate
+    heads = np.unique(head)
+    heads = heads[np.argsort(reach.sum(axis=0)[heads], kind="stable")]
+    return [np.flatnonzero(head == h) for h in heads]
+
+
+def is_irreducible(m) -> bool:
+    """True iff ``m`` has one strong component; a 1x1 matrix does."""
+    return len(_strong_components(as_matrix(m))) == 1
 
 
 def classify(m) -> ClassificationReport:

@@ -55,6 +55,21 @@ This reduction is validated against a grid oracle (``brute_minimax``),
 never assumed.  It shares no code with the LP: it takes the minimax over
 a simplex grid in float64, and finds the outer optimum along each grid
 row by a binary search for the crossing of monotone quotients.
+
+Reducible inputs
+----------------
+Put a source strong component of ``B``'s zero pattern first, ``B = [[B11,
+B12], [0, B22]]``, with values ``u1, l1`` of ``B11`` and ``u2, l2`` of
+``B22``, and ``w = (w1, w2)``.  By Ville's alternative ``lower > t`` iff
+some simplex ``w`` has ``(B - t I) w > 0``.
+
+1. ``u1 <= upper <= max(u1, u2)``: ``(w1, 0)`` passes if ``w1`` does, and
+   a passing ``w`` has ``w2 = 0`` or ``w2`` passing on ``B22``.
+2. ``min(l1, l2) <= lower <= l2``: the reflection of 1.
+3. ``B12 >= 0``: ``upper = max(u1, u2)``, as ``(0, w2)`` passes if ``w2`` does.
+4. ``B12 >= 0``, no zero row: ``lower = l2``, as a strict ``w2 > 0`` has ``B12 w2 > 0``.
+5. ``B12 <= 0``: ``lower = min(l1, l2)``, the reflection of 3.
+6. ``B12 <= 0``, no zero column: ``upper = u1``, the reflection of 4.
 """
 
 import math
@@ -66,7 +81,7 @@ import numpy as np
 from .cones import Cone, contains
 from .errors import DimensionMismatch, NotInCone, NumericalBreakdown, UnsupportedDimension
 from .lp import solve_max_eps
-from .matcore import as_matrix, as_vector, operator_norm, symmetric_part_eigs
+from .matcore import _strong_components, as_matrix, as_vector, operator_norm, symmetric_part_eigs
 
 #: Local coordinates at or below this are treated as zero by the inner
 #: closed forms; prevents catastrophic ratios at numerically-zero support.
@@ -248,16 +263,15 @@ def _test(b: np.ndarray, t: float):
     return found, float(gx.min())
 
 
-def _most_interior(b: np.ndarray, t: float, fallback: np.ndarray) -> np.ndarray:
-    """The max-margin optimizer at ``t`` if it passes the test, else
-    ``fallback``.  A cold LP on ``b`` itself: at the value the LP can be
-    exactly degenerate and return an arbitrary vertex of the optimal
-    face, while just inside the bracket Bland's rule on the max-margin
-    objective selects the most interior optimizer (so interior
-    quasi-eigenvectors are found when they exist)."""
+def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) -> np.ndarray:
+    """The max-margin optimizer at ``t`` if it passes the test and its ratio
+    ``t + min (G w)_i / w_i`` reaches ``floor``, else ``fallback``.  A cold
+    LP on ``b``: at the value it can return any vertex of a degenerate
+    optimal face; just inside, Bland's rule picks the most interior one."""
     g, slack = _shift(b, t)
     w = solve_max_eps(g).x_star
-    return w if (g @ w).min() >= -slack else fallback
+    gw, sup = g @ w, w > SUPPORT_TOL
+    return w if gw.min() >= -slack and t + float((gw[sup] / w[sup]).min()) >= floor else fallback
 
 
 def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
@@ -361,17 +375,46 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
             if eps is not None:
                 history = [*history[-1:], (side * t, eps)]
             halved = width(side) <= 0.5 * (hi - lo)
-    up, lo = brackets[1][0], brackets[-1][0]
-    w = _most_interior(b, up - close, vectors[1])
-    z = _most_interior(-b.T, lo - close, vectors[-1])
-    return (up, w), (0.0 - lo, z)  # 0.0 - lo: no -0.0
+    return (brackets[1][0], vectors[1]), (0.0 - brackets[-1][0], vectors[-1])  # 0.0 -: no -0.0
+
+
+def _split(b: np.ndarray, comps: list, tol: float, scale: float) -> dict:
+    """Both values of ``b`` over its strong components ``comps``, sources
+    first, as ``{side: (value, vector, exact)}``: ``B11`` is the first, a
+    1x1 block its entry and a larger one searched at ``b``'s scale.  A value
+    not ``exact`` is the bound of rule 1 or 2 (module docstring)."""
+    head, rest = comps[0], comps[1:]
+    if head.size == 1:
+        first = ((float(b[head[0], head[0]]) + 0.0, np.ones(1)),) * 2  # + 0.0: no -0.0
+    else:
+        block = b[np.ix_(head, head)]
+        sym, pad = symmetric_part_eigs(block), 1e-6 * scale
+        first = _search(block, float(sym[0]) - pad, float(sym[-1]) + pad, tol, scale)
+    embed = np.eye(b.shape[0])[:, head]  # exact: each entry is a vec entry plus zeros
+    parts = {side: (value, embed @ vec, True) for side, (value, vec) in zip(_BOTH, first)}
+    if not rest:
+        return parts
+    tail = _split(b, rest, tol, scale)
+    c = b[np.ix_(head, np.concatenate(rest))]
+    nonneg, nonpos = (c >= 0.0).all(), (c <= 0.0).all()
+    (up1, w1, _), (up2, _, up_exact) = parts[1], tail[1]
+    (lo1, z1, _), (lo2, z2, lo_exact) = parts[-1], tail[-1]
+    if nonneg:
+        parts[1] = (up1, w1, up_exact) if up1 >= up2 else tail[1]
+    else:
+        parts[1] = (up1, w1, nonpos and c.any(axis=0).all())
+    if nonpos:
+        parts[-1] = (lo1, z1, lo_exact) if lo1 <= lo2 else tail[-1]
+    else:
+        parts[-1] = (lo2, z2, lo_exact and nonneg and c.any(axis=1).all())
+    return parts
 
 
 def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     """Both quasi-eigenvalues with their certifying vectors, interiority
     flags, saddle status and eigen-residuals.  One search serves both
-    values: each LP it solves answers the upper test by its primal and the
-    lower test by its dual.
+    values of ``B = U^T A U``, or of each block of a reducible ``B``: each
+    LP answers the upper test by its primal and the lower by its dual.
 
     The upper value is the lower end of its certified bracket (a
     Collatz-Wielandt ratio below, an LP-dual cut above), the lower value
@@ -386,16 +429,14 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     close))`` on the symmetric-part bracket: each side's ``2 L + 1`` steps
     (see ``_search``), two end tests and two ``_most_interior`` re-solves,
     one LP each at most, and an LP of at most ``200 + 50 (3 n + 3)`` pivots.
+    A reducible ``B`` costs at most ``(s + 1)(4 L + 4) + 2``, ``s`` its
+    blocks wider than 1x1 (see ``_split``): a search on each, whose bracket
+    lies in the whole one, and a full search if a side stays undecided.
 
-    Caveat: on degenerate instances whose infeasibility margin decays
-    like ``(t - value)^k`` past the optimum (nilpotent-type reducible
-    structure), a feasibility test can accept a ``t`` above the upper
-    value by up to ``slack^(1/k)``, with ``slack = 256 eps``.  Over the
-    orthant a nilpotent Jordan block of size k (value 0) returns 2.38e-7,
-    3.85e-5, 4.88e-4, 6.21e-3 and 2.22e-2 for k = 2, 3, 4, 6 and 8; the
-    returned vector still certifies the true value from below.  Generic
-    and irreducible inputs approach linearly and meet the stated
-    tolerance.
+    Caveat: when ``B`` is irreducible (a perturbed Jordan block, a rotated
+    cone) and its margin decays like ``(t - value)^k`` past the optimum, a
+    test can accept a ``t`` up to ``slack^(1/k)`` above the upper value,
+    ``slack = 256 eps``; the returned vector still certifies the true value.
 
     Interiority uses margin ``10 * tol`` to separate genuine interior
     vectors from boundary-within-noise ones.  The saddle reading allows
@@ -407,7 +448,18 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
         raise ValueError("tol must be positive and finite")
     b = _local_problem(a, cone)
     lo0, hi0, scale = _bracket(a)
-    (lam_up, w), (lam_lo, z) = _search(b, lo0, hi0, tol, scale)
+    comps = _strong_components(b)
+    # An irreducible B is one undecided block, bounded only by -inf and inf.
+    parts = _split(b, comps, tol, scale) if len(comps) > 1 else {s: (-s * math.inf, None, False) for s in _BOTH}
+    if not all(exact for *_, exact in parts.values()):
+        # A search decides each undecided side, unless its block bound is better.
+        for side, found in zip(_BOTH, _search(b, lo0, hi0, tol, scale)):
+            if not parts[side][2] and side * found[0] >= side * parts[side][0]:
+                parts[side] = found
+    (lam_up, w, *_), (lam_lo, z, *_) = parts[1], parts[-1]
+    close = max(0.5 * tol, 2.0 * _FEAS_TOL * scale)
+    w = _most_interior(b, lam_up - close, lam_up - tol * scale, w)
+    z = _most_interior(-b.T, -lam_lo - close, -lam_lo - tol * scale, z)
     u = cone.from_local(w)
     v = cone.from_local(z)
     v = v / np.linalg.norm(v)

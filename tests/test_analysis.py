@@ -53,9 +53,9 @@ def test_perron_check_examples():
 
     rep = perron_check([[0.0, 1.0], [0.0, 0.0]])
     assert rep.holds
-    # nilpotent reducible structure: value known exactly 0 by hand; the
-    # bisection may overshoot by its quadratic-degeneracy allowance
-    assert abs(rep.lhs) <= 1e-6 and rep.rhs == pytest.approx(0.0, abs=1e-12)
+    # nilpotent reducible structure: its 1x1 blocks are their own values,
+    # so the value is exactly 0
+    assert rep.lhs == 0.0 and rep.rhs == pytest.approx(0.0, abs=1e-12)
 
     rep = perron_check(np.eye(2))
     assert rep.holds and rep.lhs == pytest.approx(1.0, abs=1e-8)

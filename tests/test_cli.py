@@ -341,12 +341,14 @@ def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
     # A reducible nonnegative matrix is not ISC, so over a rotated cone only
     # the Perron and max-real-part checks read the orthant pair, and they
     # share it.  With the base and conjugated pairs (both vectors are on
-    # the boundary, so no perturbed pair), that is three pairs.
+    # the boundary, so no perturbed pair), that is three pairs.  Each pair
+    # takes its bracket once; the orthant pair, whose 1x1 blocks are its
+    # values, runs no search.
     import quasieig.quasi as quasi_module
 
     p = tmp_path / "reducible.json"
     p.write_text('{"n": 3, "rows": [[1, 1, 0], [0, 2, 0], [0.5, 0, 0.7]]}')
-    pairs = record_calls(monkeypatch, quasi_module, "_search")
+    pairs = record_calls(monkeypatch, quasi_module, "_bracket")
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
     assert code == 0
     assert rep["flags"]["nonnegative"] and not rep["flags"]["isc"]

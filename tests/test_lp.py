@@ -259,8 +259,8 @@ def _search_corpus():
     benchmark: generic, ISC, Metzler and Perron matrices at n = 1-8 over
     the orthant and a rotated cone, Jordan blocks of sizes 2, 3, 4 and 6,
     reducible block-triangular matrices, and Perron matrices at 1e-150
-    and 1e150.  The Jordan and 1e-150 values are off by the search's
-    known defects, which must not move either."""
+    and 1e150.  The 1e-150 values are off by the search's known defect,
+    which must not move either."""
     rng = np.random.default_rng(22)
     cases = []
     for n in range(1, 9):
@@ -307,9 +307,11 @@ def test_solution_reports_its_pivots_and_final_basis():
 
 
 # Bland's rule repeats each pivot sequence, so these counts are exact.  They
-# were counted on the kernel before it reported its pivots.
+# were counted on the kernel before it reported its pivots, and recounted
+# when reducible inputs began to be solved block by block: example 1 is
+# diagonal, so only its two final re-solves run an LP.
 @pytest.mark.parametrize("a, pivots", [
-    (np.diag([2.0, 1.0]), [1, 1, 0, 0]),
+    (np.diag([2.0, 1.0]), [0, 0]),
     (np.array([[1.0, -1.0], [1.0, 1.0]]), [0, 0]),
 ], ids=["example1", "example2"])
 def test_search_pivots_on_the_paper_examples(monkeypatch, a, pivots):
@@ -318,7 +320,7 @@ def test_search_pivots_on_the_paper_examples(monkeypatch, a, pivots):
 
 def test_search_pivots_over_a_seeded_corpus(monkeypatch):
     pivots = _search_pivots(monkeypatch, _search_corpus())
-    assert (len(pivots), sum(pivots)) == (1249, 5714)
+    assert (len(pivots), sum(pivots)) == (1034, 4640)
 
 
 def _reference_kernel(problem):

@@ -19,6 +19,7 @@ from quasieig import (
     symmetric_part_eigs,
 )
 from quasieig.cli import RunConfig, emit_matrix, run
+from quasieig.matcore import _strong_components
 from grid_reference import brute_minimax_reference
 from helpers import (
     REPEATED_SPECTRA,
@@ -357,7 +358,9 @@ def _two_block_cases():
 def test_large_scale_reducible_values_are_the_block_values(scale, block):
     # diag(3, P) over the orthant: a vector supported on one block has that
     # block's value as its inner infimum, so the upper value is the larger
-    # block value and the lower value the smaller.  The two brackets close
+    # block value and the lower value the smaller.  quasi_pair splits the
+    # blocks; the search on the whole matrix, which a split runs when its
+    # rules leave a value undecided, must agree.  Its two brackets close
     # apart, each to twice the feasibility slack, never at a secant root
     # that rounds onto an end of its bracket.
     p = _two_block_cases()[block]
@@ -366,8 +369,19 @@ def test_large_scale_reducible_values_are_the_block_values(scale, block):
     a[0, 0], a[1:, 1:] = 3.0, p
     rho = max(lam.real for lam, _ in eig_oracle(p))
     r = quasi_pair(scale * a, Cone.orthant(n))
-    assert abs(r.lambda_upper / scale - max(3.0, rho)) <= 1e-12 * max(3.0, rho)
-    assert abs(r.lambda_lower / scale - min(3.0, rho)) <= 1e-12 * min(3.0, rho)
+    for upper, lower in ((r.lambda_upper, r.lambda_lower), _whole_search(scale * a)):
+        assert abs(upper / scale - max(3.0, rho)) <= 1e-12 * max(3.0, rho)
+        assert abs(lower / scale - min(3.0, rho)) <= 1e-12 * min(3.0, rho)
+
+
+def _whole_search(a):
+    """Both values of ``a`` over the orthant from one search on the whole
+    matrix, as ``quasi_pair`` runs it on an irreducible input."""
+    import quasieig.quasi as quasi_module
+
+    lo0, hi0, scale = quasi_module._bracket(a)
+    (upper, _), (lower, _) = quasi_module._search(a, lo0, hi0, 1e-9, scale)
+    return upper, lower
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 1e7, 1e10])
@@ -468,31 +482,43 @@ def _bound_cases():
 def test_lp_calls_stay_within_the_stated_bound(monkeypatch):
     # quasi_pair's cost bound: each side takes at most 2 L + 1 steps, L the
     # halvings from the symmetric-part bracket down to the closing width,
-    # and a step, an end test or a re-solve costs at most one LP each.
+    # and a step, an end test or a re-solve costs at most one LP each.  A
+    # reducible B costs each of its s blocks wider than 1x1 one search, and
+    # the whole B one more when a side stays undecided: (s + 1)(4 L + 4) + 2.
     import quasieig.quasi as quasi_module
 
     solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    split = 0
     for k, (a, cone) in enumerate(_bound_cases()):
+        comps = _strong_components(quasi_module._local_problem(a, cone))
         before = len(solves)
         quasi_pair(a, cone)
-        assert len(solves) - before <= 2 * _step_bound(a) + 4, (k, len(solves) - before)
+        bound = 2 * _step_bound(a) + 4
+        if len(comps) > 1:
+            split += 1
+            bound = (sum(c.size > 1 for c in comps) + 1) * (2 * _step_bound(a) + 2) + 2
+        assert len(solves) - before <= bound, (k, len(solves) - before, bound)
+    assert split == 21  # the Jordan blocks of sizes 2-8 and 14 block-triangular inputs
 
 
 def test_step_budget_names_the_lower_bracket_in_its_own_coordinates(monkeypatch):
-    # Next to a block whose upper value 3 the end tests settle, the search
-    # runs out of steps on the lower value, the Perron root rho of the other
-    # block.  The error names the lower value's bracket in the value's
-    # coordinates: it holds rho (the upper value's bracket starts at 3).
+    # diag(3, P) coupled by -1/2 and 1/2 between its first two coordinates
+    # is irreducible, so one search serves both values (uncoupled, the split
+    # would search P alone).  Its upper value 3 closes within the first four
+    # narrowings, so the search runs out of steps on the lower value.  The
+    # error names the lower value's bracket in the value's coordinates: it
+    # holds the lower value.
     p = random_irreducible_nonneg(np.random.default_rng(3), 4)
-    rho = max(abs(lam) for lam, _ in eig_oracle(p))
-    split = np.zeros((5, 5))
-    split[0, 0], split[1:, 1:] = 3.0, p
+    a = np.zeros((5, 5))
+    a[0, 0], a[1:, 1:] = 3.0, p
+    a[0, 1], a[1, 0] = -0.5, 0.5
+    lower = quasi_pair(a, Cone.orthant(5)).lambda_lower
     _stall_narrowing(monkeypatch, 4)
     with pytest.raises(NumericalBreakdown) as exc:
-        quasi_pair(split, Cone.orthant(5))
+        quasi_pair(a, Cone.orthant(5))
     lo, hi = _named_bracket(exc.value)
-    assert lo <= rho <= hi < 3.0
-    assert _named_budget(exc.value) <= _step_bound(split)
+    assert 0.0 < lo <= lower <= hi
+    assert _named_budget(exc.value) <= _step_bound(a)
 
 
 def _homogeneity_cases():
@@ -648,25 +674,25 @@ def test_pair_agrees_with_the_one_sided_values(case):
 
 def test_pair_closes_two_separate_brackets_exactly():
     # diag(2, 1) over the orthant: the values 2 and 1 are the two ends of
-    # the zero set of eps*(t), a whole interval, so the one stream must
-    # close two brackets that never meet.  Both come out exactly.
+    # the zero set of eps*(t), a whole interval, so one search on the whole
+    # matrix must close two brackets that never meet.  Both come out
+    # exactly, as they do from quasi_pair's split into 1x1 blocks.
     r = quasi_pair(EX1, ORTHANT2)
-    assert (r.lambda_upper, r.lambda_lower) == (2.0, 1.0)
-    assert quasi_pair(-EX1.T, ORTHANT2).lambda_upper == -1.0
+    assert (r.lambda_upper, r.lambda_lower) == _whole_search(EX1) == (2.0, 1.0)
+    assert quasi_pair(-EX1.T, ORTHANT2).lambda_upper == _whole_search(-EX1.T)[0] == -1.0
 
 
 @pytest.mark.parametrize(
     "a, pair_lps",
-    [(EX1, 4), (EX2, 2), (random_isc(np.random.default_rng(55), 4), 14)],
+    [(EX1, 2), (EX2, 2), (random_isc(np.random.default_rng(55), 4), 14)],
     ids=["example1", "example2", "isc55"],
 )
 def test_pair_lp_counts(monkeypatch, a, pair_lps):
     # Each LP of the pair's search answers the upper test by its primal and
-    # the lower test by its dual.  The paper examples take no step inside
-    # the bracket: their LPs are the final re-solve of each value and, in
-    # example 1, whose values are far apart, one LP at each end of the
-    # bracket that only one value needs.  The counts are exact: Bland's
-    # rule is deterministic.
+    # the lower test by its dual.  Example 2 takes no step inside the
+    # bracket: its LPs are the final re-solve of each value.  Example 1 is
+    # diagonal, so its 1x1 blocks are their own values and only the two
+    # re-solves run.  The counts are exact: Bland's rule is deterministic.
     import quasieig.quasi as quasi_module
 
     solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
@@ -714,3 +740,134 @@ def test_tie_break_inputs_solve_and_verify(tmp_path, family, seed, upper, lower)
     p.write_text(emit_matrix(a))
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
     assert code == 0 and "error" not in rep, rep
+
+
+def _block_triangular_corpus():
+    """Two hundred seeded ``[[B11, B12], [0, B22]]`` with generic or Perron
+    diagonal blocks of sizes 1-3 and a coupling ``B12 >= 0``, ``<= 0`` or
+    of mixed sign, whole or with a zero row, a zero column or both, each
+    as ``(a, n1)``; ``B11`` is the source block, ``B22`` the sink."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for k in range(200):
+        n1, n2 = 1 + k % 3, 1 + k // 3 % 3
+        make = (random_matrix, random_irreducible_nonneg)[k % 2]
+        a = np.zeros((n1 + n2, n1 + n2))
+        a[:n1, :n1], a[n1:, n1:] = make(rng, n1), make(rng, n2)
+        low, high = [(0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)][k // 9 % 3]
+        c = rng.uniform(low, high, (n1, n2))
+        zeros = k // 27 % 4
+        if zeros & 1:
+            c[rng.integers(n1), :] = 0.0
+        if zeros & 2:
+            c[:, rng.integers(n2)] = 0.0
+        a[:n1, n1:] = c
+        cases.append((a, n1))
+    return cases
+
+
+def test_block_triangular_values_meet_their_block_certificates():
+    # Every cone vector certifies a bound: upper >= inner_inf(u) and lower
+    # <= inner_sup(v).  So each block's vectors, padded with zeros, bound
+    # the values of every block-triangular matrix; the source block's
+    # upper vector and the sink block's lower vector always give finite
+    # bounds (rules 1 and 2).  Each input is also solved as a permuted
+    # copy P A P^T, with the block vectors permuted alike, and every
+    # returned vector must certify its value.
+    rng = np.random.default_rng(30)
+    for k, (a, n1) in enumerate(_block_triangular_corpus()):
+        n = a.shape[0]
+        pairs = quasi_pair(a[:n1, :n1], Cone.orthant(n1)), quasi_pair(a[n1:, n1:], Cone.orthant(n - n1))
+        pad = [np.zeros(n - n1), np.zeros(n1)]
+        us = [np.r_[pairs[0].u_right, pad[0]], np.r_[pad[1], pairs[1].u_right]]
+        vs = [np.r_[pairs[0].v_left, pad[0]], np.r_[pad[1], pairs[1].v_left]]
+        p = np.eye(n)[rng.permutation(n)]
+        for b, perm in ((a, np.eye(n)), (p @ a @ p.T, p)):
+            cone = Cone.orthant(n)
+            r = quasi_pair(b, cone)
+            tau = r.tol * max(1.0, np.linalg.norm(b, 2))
+            for u, v in zip(us, vs):
+                assert r.lambda_upper >= inner_inf(b, cone, perm @ u) - 2.0 * tau, k
+                assert r.lambda_lower <= inner_sup(b, cone, perm @ v) + 2.0 * tau, k
+            assert math.isfinite(inner_inf(b, cone, perm @ us[0])), k
+            assert math.isfinite(inner_sup(b, cone, perm @ vs[1])), k
+            assert inner_inf(b, cone, r.u_right) >= r.lambda_upper - 2.0 * tau, k
+            assert inner_sup(b, cone, r.v_left) <= r.lambda_lower + 2.0 * tau, k
+
+
+def test_lower_value_of_a_split_input_is_its_sink_block_value():
+    # B12 >= 0 with no zero row, so the lower value is the sink block's,
+    # its largest eigenvalue 0.56085 (B22 is Metzler).  A search on the
+    # whole matrix once cut its bracket at a t it had not proved and
+    # returned 0.97189, which the sink block's left Perron vector refutes.
+    a = np.array([
+        [0.95893188, 0.36000391, 0.05642563, 0.0],
+        [0.18966273, 0.27956996, 0.05125895, 0.86063481],
+        [0.0, 0.0, -0.27402684, 0.93817297],
+        [0.0, 0.0, 0.89120948, -0.44061667],
+    ])
+    cone = Cone.orthant(4)
+    vals, vecs = np.linalg.eig(a[2:, 2:].T)
+    z = np.r_[0.0, 0.0, np.abs(vecs[:, np.argmax(vals)])]
+    bound = inner_sup(a, cone, z)
+    assert bound == pytest.approx(0.56085, abs=1e-5)
+    r = quasi_pair(a, cone)
+    tau = r.tol * max(1.0, np.linalg.norm(a, 2))
+    assert abs(r.lambda_lower - bound) <= tau
+    assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * tau
+
+
+def test_undecided_value_takes_the_block_bound_past_a_wrong_search():
+    # A coupling of mixed sign decides neither value, so the whole matrix is
+    # searched too.  Here that search returns 0.12685 for the lower value,
+    # and its own vector certifies no more than -0.35767, while the sink
+    # block's lower vector proves lower <= -0.45144 = min(l1, l2), the
+    # value by rule 2.  The block bound wins.
+    a = np.array([
+        [-0.11599219, 0.46020014, -0.69823866, 0.53449183, 0.72994399],
+        [0.09306362, 0.0576488, -0.63637047, 0.11607049, 0.28832873],
+        [0.0, 0.0, 0.71608574, -0.60808931, -0.91876763],
+        [0.0, 0.0, -0.43349288, -0.21521768, 0.21523092],
+        [0.0, 0.0, 0.72414739, -0.49656772, 0.4176104],
+    ])
+    sink = quasi_pair(a[2:, 2:], Cone.orthant(3)).lambda_lower
+    assert sink == pytest.approx(-0.45144, abs=1e-5)
+    r = quasi_pair(a, Cone.orthant(5))
+    assert abs(r.lambda_lower - sink) <= 2.0 * r.tol * max(1.0, np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_a_zero_row_of_the_coupling_leaves_the_value_undecided(reflect):
+    # B12 = [0, 1]^T >= 0 has a zero row, so rule 4 does not apply: z = e_1
+    # has B^T z = (0, -1, 0) and proves lower <= 0, below the sink block's
+    # value 1, and rule 2 gives lower >= min(0, 1).  Under -A^T the zero
+    # row is a zero column of a coupling <= 0, and rule 6 does not apply.
+    a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    r = quasi_pair(-a.T if reflect else a, Cone.orthant(3))
+    assert abs(-r.lambda_upper if reflect else r.lambda_lower) <= r.tol
+
+
+def _jordan_cases():
+    """Nilpotent Jordan blocks of sizes 1-8, their transposes and a
+    seeded permuted copy of each."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for k in range(1, 9):
+        for j in (np.diag(np.ones(k - 1), 1), np.diag(np.ones(k - 1), -1)):
+            p = np.eye(k)[rng.permutation(k)]
+            cases += [j, p @ j @ p.T]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(32))
+def test_jordan_blocks_are_exact_and_take_at_most_two_lps(monkeypatch, case):
+    # Every strong component of a nilpotent Jordan block is 1x1, with value
+    # 0, and every coupling is >= 0 with no zero row where it is nonzero:
+    # both values are exactly 0, and only the two final re-solves run.
+    import quasieig.quasi as quasi_module
+
+    a = _jordan_cases()[case]
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    r = quasi_pair(a, Cone.orthant(a.shape[0]))
+    assert (r.lambda_upper, r.lambda_lower) == (0.0, 0.0)
+    assert len(solves) <= 2
