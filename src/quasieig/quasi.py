@@ -45,9 +45,9 @@ certifies:
 * lower infeasible: ``w`` lifts the lower end to
   ``t + min(B w - t w) / max(w)``;
 
-each widened by the feasibility slack.  The next t is a safeguarded
-secant step on ``eps*(t)`` or the midpoint, in the first bracket still
-wider than ``max(tol / 2, 2 slack)``; a bracket is done at that width.
+each widened by the feasibility slack.  The next t, the midpoint or a
+point by a kernel root of the last LP, lies in the first bracket wider
+than ``max(tol / 2, 2 slack)``; a bracket is done at that width.
 The symmetric-part eigenvalues bracket both values, which seeds the
 search.
 
@@ -224,8 +224,8 @@ def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: np.ndarray
 
 
 def _test(b: np.ndarray, t: float):
-    """Test ``t`` for both values: ``{side: (vector, bound)}`` and the LP's
-    recomputed margin ``min(G w)``, or None when no LP ran.
+    """Test ``t`` for both values: ``{side: (vector, bound)}`` and its LP's
+    kernel roots in ``t`` (``_kernel_roots``), or None when no LP ran.
 
     Side ``+1`` asks whether ``G w >= 0`` has a simplex point ``w``, side
     ``-1`` whether ``G^T y <= 0`` has one, answered in its negated
@@ -260,7 +260,24 @@ def _test(b: np.ndarray, t: float):
         found[1] = _answer(t, slack, x, y, gx, gty)
     if -1 not in found:
         found[-1] = _answer(-t, slack, y, x, -gty, -gx)
-    return found, float(gx.min())
+    return found, t + _kernel_roots(g, x, y)
+
+
+def _kernel_roots(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The real ``s != 0`` with ``det(G_RS - s I_RS) = 0``, ``S`` and ``R``
+    the supports of ``x`` and ``y``, if ``|R| = |S|`` and ``G_RS`` is
+    nonsingular: ``1 / mu`` for each real eigenvalue ``mu != 0`` of ``G_RS^-1
+    I_RS``.  While the kernel ``(R, S)`` stays optimal, the game's value at
+    ``t + s`` is ``1 / (1^T (G_RS - s I_RS)^-1 1)`` (Shapley and Snow 1950)."""
+    r, s = np.flatnonzero(y > 0.0), np.flatnonzero(x > 0.0)
+    if r.size != s.size:
+        return np.empty(0)
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(g[np.ix_(r, s)], np.eye(g.shape[0])[np.ix_(r, s)]))
+    except np.linalg.LinAlgError:
+        return np.empty(0)
+    real = (mu != 0.0) & (np.abs(mu.imag) <= 1e-9 * np.abs(mu))
+    return 1.0 / mu.real[real]
 
 
 def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) -> np.ndarray:
@@ -312,12 +329,12 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
     bounds the slack of every test on the bracket (``max|B - t I|`` is
     about ``2 scale`` there), so no test resolves ``t`` more finely; it
     is the larger from ``||A||`` about 4.4e3 at the default tol.  The next
-    ``t`` in a side's bracket is the secant root of ``eps*(t)`` through
-    the last two LP-solved tests when that root lies at least ``close /
-    2`` inside the bracket and the side's previous step at least halved
-    it (safeguarded as in Crouzeix, Ferland and Schaible 1985); otherwise
-    the midpoint.  Either is strictly inside the bracket, as ``close / 2``
-    spans many floats at any value in it.
+    ``t`` in a side's bracket is its midpoint, unless the side's previous
+    step at least halved it and a kernel root of the last LP-solved test
+    lies strictly inside it (as in Crouzeix, Ferland and Schaible 1985):
+    then the root ``r`` nearest the midpoint, moved ``2 close`` towards the
+    farther end, if still strictly inside.  When ``r`` is the value, that
+    test falls on a known side of it and moves that end to about ``r``.
 
     Each side's budget is ``2 L + 1`` steps, ``L = frexp(W / close)[1]``
     for its width ``W`` when its steps start (so ``W <= 2^L close``
@@ -328,7 +345,7 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
     scale`` (``[lo0, hi0]`` lies within ``1.01 scale`` of 0), so against a
     width above ``512 eps scale`` it leaves under ``1 / sqrt 2`` of it.
     Before step ``N`` let ``h`` steps halve, and ``m`` midpoints and ``s``
-    secant steps not.  Each of the ``s`` but the last is followed, past
+    root steps not.  Each of the ``s`` but the last is followed, past
     non-halving midpoints, by a halving midpoint of its own: ``s <= h +
     1``.  The widths give ``h + m / 2 < L``, so ``N - 1 = h + m + s <= 2 h
     + m + 1 <= 2 L``, with no halving added to ``L`` for float midpoints.
@@ -348,10 +365,8 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
         vectors[side] = w
     for t, (found, _) in zip((lo0, hi0), ends):
         _narrow(brackets, vectors, t, found)
-    # (t, eps) of the last two LP-solved tests.  Only the last end seeds
-    # it, so the first step is a midpoint, not a secant across the whole
-    # symmetric-part bracket.
-    history = [(t, eps) for t, (_, eps) in zip((lo0, hi0), ends) if eps is not None][-1:]
+    # The kernel roots of the last LP-solved test, in t.
+    roots = next((r for _, r in ends[::-1] if r is not None), np.empty(0))
 
     def width(side):
         return brackets[side][1] - brackets[side][0]
@@ -365,15 +380,16 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
             if steps > budget:
                 raise _breakdown(f"search exceeded its step budget of {budget} steps", lo, hi, tol, side)
             t = 0.5 * (lo + hi)
-            if halved and len(history) == 2 and history[0][1] != history[1][1]:
-                (t0, e0), (t1, e1) = history
-                root = side * (t1 - e1 * (t1 - t0) / (e1 - e0))
-                if lo + 0.5 * close <= root <= hi - 0.5 * close:
-                    t = root
-            found, eps = _test(b, side * t)
+            inside = side * roots[(lo < side * roots) & (side * roots < hi)]
+            if halved and inside.size:
+                root = float(inside[np.argmin(np.abs(inside - t))])
+                step = root - 2.0 * close if root - lo > hi - root else root + 2.0 * close
+                if lo < step < hi:
+                    t = step
+            found, kernel = _test(b, side * t)
             _narrow(brackets, vectors, side * t, found)
-            if eps is not None:
-                history = [*history[-1:], (side * t, eps)]
+            if kernel is not None:
+                roots = kernel
             halved = width(side) <= 0.5 * (hi - lo)
     return (brackets[1][0], vectors[1]), (0.0 - brackets[-1][0], vectors[-1])  # 0.0 -: no -0.0
 
@@ -427,7 +443,7 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
 
     Cost: at most ``2 (2 L + 1) + 4`` LPs, ``L = ceil(log2((hi0 - lo0) /
     close))`` on the symmetric-part bracket: each side's ``2 L + 1`` steps
-    (see ``_search``), two end tests and two ``_most_interior`` re-solves,
+    (see ``_search``), two end tests and two re-solves (none if n = 1),
     one LP each at most, and an LP of at most ``200 + 50 (3 n + 3)`` pivots.
     A reducible ``B`` costs at most ``(s + 1)(4 L + 4) + 2``, ``s`` its
     blocks wider than 1x1 (see ``_split``): a search on each, whose bracket
@@ -458,8 +474,9 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
                 parts[side] = found
     (lam_up, w, *_), (lam_lo, z, *_) = parts[1], parts[-1]
     close = max(0.5 * tol, 2.0 * _FEAS_TOL * scale)
-    w = _most_interior(b, lam_up - close, lam_up - tol * scale, w)
-    z = _most_interior(-b.T, -lam_lo - close, -lam_lo - tol * scale, z)
+    if b.shape[0] > 1:  # a 1x1 B's simplex is the single point [1]
+        w = _most_interior(b, lam_up - close, lam_up - tol * scale, w)
+        z = _most_interior(-b.T, -lam_lo - close, -lam_lo - tol * scale, z)
     u = cone.from_local(w)
     v = cone.from_local(z)
     v = v / np.linalg.norm(v)

@@ -68,7 +68,7 @@ def test_criterion_1_example1_fixture(lps):
         and not r.v_interior
         and not r.is_saddle
     )
-    _report(1, "example-1 fixture", ok, lps, 5,
+    _report(1, "example-1 fixture", ok, lps, 3,
             f"upper={r.lambda_upper:.12g} lower={r.lambda_lower:.12g}")
 
 
@@ -112,7 +112,7 @@ def test_criterion_3_perron_root_identity(lps):
             ok = False
             detail = f"instance {k} (n={n}): |upper-rho|={abs(r.lambda_upper - rho):.2e}"
             break
-    _report(3, "perron root identity x100", ok, lps, 1518, detail)
+    _report(3, "perron root identity x100", ok, lps, 631, detail)
 
 
 def test_criterion_4_minimax_equality_oracle(lps):
@@ -132,7 +132,7 @@ def test_criterion_4_minimax_equality_oracle(lps):
             ok = False
             detail = f"instance {k} (n={n}): eq={abs(si-isup):.2e} lp={abs(lam-si):.2e}"
             break
-    _report(4, "minimax equality oracle x100", ok, lps, 1028,
+    _report(4, "minimax equality oracle x100", ok, lps, 479,
             detail or f"worst |si-is|={worst_eq:.2e}, worst |lp-si|={worst_lp:.2e}")
 
 
@@ -156,7 +156,7 @@ def test_criterion_5_orthogonal_invariance(lps):
             ok = False
             detail = f"instance {k}: dev={rep.lhs:.2e}"
             break
-    _report(5, "orthogonal invariance x100", ok, lps, 3083,
+    _report(5, "orthogonal invariance x100", ok, lps, 1578,
             detail or f"worst dev={worst:.2e}")
 
 
@@ -195,7 +195,7 @@ def test_criterion_6_weyl_perturbation_suite(lps):
                 break
         if not ok:
             break
-    _report(6, f"weyl perturbation suite x{count}", ok, lps, 8997, detail)
+    _report(6, f"weyl perturbation suite x{count}", ok, lps, 3724, detail)
 
 
 def test_criterion_7_spectral_sandwich(lps):
@@ -224,7 +224,7 @@ def test_criterion_7_spectral_sandwich(lps):
             ok = False
             detail = f"instance {k} (n={n}, normal={normal_instance})"
             break
-    _report(7, "spectral sandwich x200", ok, lps, 2994, detail)
+    _report(7, "spectral sandwich x200", ok, lps, 1465, detail)
 
 
 def test_criterion_8_theorem4_classification(lps):
@@ -268,7 +268,7 @@ def test_criterion_8_theorem4_classification(lps):
         if not rep.holds:
             ok = False
             detail = f"instance {count} family {family} (n={n}): {rep.details[:120]}"
-    _report(8, "normal-matrix classification x100", ok, lps, 517, detail)
+    _report(8, "normal-matrix classification x100", ok, lps, 436, detail)
 
 
 def test_criterion_9_skew_fixture(lps):
@@ -308,4 +308,4 @@ def test_criterion_10_cone_continuity(lps):
             ok = False
             break
     ok = ok and dev <= 1e-2
-    _report(10, "cone continuity via perturbation bound", ok, lps, 129, detail)
+    _report(10, "cone continuity via perturbation bound", ok, lps, 50, detail)

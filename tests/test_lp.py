@@ -308,8 +308,9 @@ def test_solution_reports_its_pivots_and_final_basis():
 
 # Bland's rule repeats each pivot sequence, so these counts are exact.  They
 # were counted on the kernel before it reported its pivots, and recounted
-# when reducible inputs began to be solved block by block: example 1 is
-# diagonal, so only its two final re-solves run an LP.
+# when reducible inputs began to be solved block by block (example 1 is
+# diagonal, so only its two final re-solves run an LP) and when the search
+# began to step to the kernel roots of its last LP.
 @pytest.mark.parametrize("a, pivots", [
     (np.diag([2.0, 1.0]), [0, 0]),
     (np.array([[1.0, -1.0], [1.0, 1.0]]), [0, 0]),
@@ -320,7 +321,7 @@ def test_search_pivots_on_the_paper_examples(monkeypatch, a, pivots):
 
 def test_search_pivots_over_a_seeded_corpus(monkeypatch):
     pivots = _search_pivots(monkeypatch, _search_corpus())
-    assert (len(pivots), sum(pivots)) == (1034, 4640)
+    assert (len(pivots), sum(pivots)) == (479, 2243)
 
 
 def _reference_kernel(problem):

@@ -326,7 +326,7 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     # closes at twice the slack, not at tol / 2 (a search that waited for
     # tol / 2 would retest one t until its step budget ran out).  Both
     # values are the Perron root to a relative 1e-12, and the pair costs at
-    # most 24 LPs.
+    # most 9 LPs (it takes 8).
     import quasieig.quasi as quasi_module
 
     a = scale * random_irreducible_nonneg(np.random.default_rng(3), 4)
@@ -335,7 +335,7 @@ def test_large_scale_values_close_at_float_resolution(monkeypatch, scale):
     r = quasi_pair(a, Cone.orthant(4))
     assert abs(r.lambda_upper - rho) <= 1e-12 * rho
     assert abs(r.lambda_lower - rho) <= 1e-12 * rho
-    assert len(solves) <= 24
+    assert len(solves) <= 9
 
     # A search that stops narrowing runs out of its budget, derived from
     # the bracket, and names where it stopped: the bracket, which holds
@@ -361,8 +361,8 @@ def test_large_scale_reducible_values_are_the_block_values(scale, block):
     # block value and the lower value the smaller.  quasi_pair splits the
     # blocks; the search on the whole matrix, which a split runs when its
     # rules leave a value undecided, must agree.  Its two brackets close
-    # apart, each to twice the feasibility slack, never at a secant root
-    # that rounds onto an end of its bracket.
+    # apart, each to twice the feasibility slack, never at a step that
+    # rounds onto an end of its bracket.
     p = _two_block_cases()[block]
     n = p.shape[0] + 1
     a = np.zeros((n, n))
@@ -445,8 +445,9 @@ def _bound_cases():
     orthant and a rotated cone, Jordan blocks of sizes 1-8, reducible
     block-triangular matrices, Perron matrices at scales 1e-150 to 1e150,
     repeated normal spectra, and transposed Jordan blocks of size 12 plus
-    uniform noise of size 1e-9, on some of which secant steps taken
-    without the halving guard creep past the budget."""
+    uniform noise of size 1e-9, on some of which the secant steps that
+    preceded the kernel-root step crept past the budget without the
+    halving guard."""
     families = [
         random_matrix,
         lambda rng, n: random_isc(rng, n, 1),
@@ -684,7 +685,7 @@ def test_pair_closes_two_separate_brackets_exactly():
 
 @pytest.mark.parametrize(
     "a, pair_lps",
-    [(EX1, 2), (EX2, 2), (random_isc(np.random.default_rng(55), 4), 14)],
+    [(EX1, 2), (EX2, 2), (random_isc(np.random.default_rng(55), 4), 6)],
     ids=["example1", "example2", "isc55"],
 )
 def test_pair_lp_counts(monkeypatch, a, pair_lps):
@@ -700,6 +701,111 @@ def test_pair_lp_counts(monkeypatch, a, pair_lps):
     assert len(solves) == pair_lps
 
 
+def test_one_by_one_input_solves_no_lp(monkeypatch):
+    # A 1x1 B's simplex is the single point [1], so no re-solve can find a
+    # more interior vector and the pair solves no LP.  The fields are the
+    # ones the re-solves returned, bit for bit: the entry, the cone's axis
+    # for both vectors, both flags set and zero residuals.
+    import quasieig.quasi as quasi_module
+
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    for entry in (3.0, -0.5, 0.0, -0.0, 1e150):
+        for cone in (Cone.orthant(1), Cone.rotated(-np.eye(1))):
+            r = quasi_pair([[entry]], cone)
+            assert r.lambda_upper.hex() == r.lambda_lower.hex() == (entry + 0.0).hex()  # no -0.0
+            assert r.u_right.tobytes() == r.v_left.tobytes() == cone.basis[:, 0].tobytes()
+            assert r.u_interior and r.v_interior and r.is_saddle
+            assert r.eigen_residual_right == r.eigen_residual_left == 0.0
+    assert solves == []
+
+
+def test_kernel_roots_are_the_real_roots_of_the_kernel_pencil():
+    # The roots s of det(G_RS - s I_RS) for the supports S of x and R of y.
+    import quasieig.quasi as quasi_module
+
+    roots = quasi_module._kernel_roots
+    g = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 4))
+    # R = S = {0, 2}: I_RS is the identity, so the roots are the (here
+    # real) eigenvalues of G_SS.
+    x, y = np.array([0.5, 0.0, 0.5, 0.0]), np.array([0.25, 0.0, 0.75, 0.0])
+    eig = np.linalg.eigvals(g[np.ix_([0, 2], [0, 2])])
+    assert not eig.imag.any()
+    assert np.sort(roots(g, x, y)) == pytest.approx(np.sort(eig.real), rel=1e-12)
+    # Supports of different sizes hold no square kernel: no root.
+    assert roots(g, x, np.array([0.25, 0.25, 0.5, 0.0])).size == 0
+    # R = {0, 1} and S = {1, 2}: I_RS = [[0, 0], [1, 0]], so the
+    # determinant g01 g12 - g02 (g11 - s) is linear in s, with the one root
+    # below; G_RS^-1 I_RS has rank 1, and its zero eigenvalue is no root.
+    x, y = np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
+    assert roots(g, x, y) == pytest.approx([g[1, 1] - g[0, 1] * g[1, 2] / g[0, 2]], rel=1e-12)
+    # A rotation-scaling block in the kernel gives a complex pair, which
+    # is no root of the real pencil; the real eigenvalue still is.
+    g = np.array([[0.5, -2.0, 0.0], [2.0, 0.5, 0.0], [0.0, 0.0, -0.75]])
+    assert roots(g, np.full(3, 1 / 3), np.full(3, 1 / 3)) == pytest.approx([-0.75], rel=1e-12)
+    # A singular G_RS has no kernel roots.
+    assert roots(np.ones((2, 2)), np.full(2, 0.5), np.full(2, 0.5)).size == 0
+
+
+def test_root_step_tests_beside_the_root_nearest_the_midpoint(monkeypatch):
+    # ISC over the orthant: both values are sqrt 6, in the symmetric-part
+    # bracket [-2.5, 2.5] padded.  With each LP's kernel roots replaced by
+    # fixed ones, the first step tests beside the root nearest the
+    # midpoint, 2 close towards the farther end of the bracket.  Roots
+    # outside the bracket are never tested, and the values stay certified
+    # whatever the roots, since only the choice of t depends on them.
+    import quasieig.quasi as quasi_module
+
+    fixed = np.array([-3.0, math.sqrt(6.0) - 1.0, math.sqrt(6.0), 3.0])
+    test, tested = quasi_module._test, []
+
+    def fixed_roots(b, t):
+        tested.append(t)
+        found, kernel = test(b, t)
+        return found, None if kernel is None else fixed
+
+    monkeypatch.setattr(quasi_module, "_test", fixed_roots)
+    r = quasi_pair(ISC, ORTHANT2)
+    lo0, hi0, scale = quasi_module._bracket(ISC)
+    close = max(0.5 * r.tol, 2.0 * quasi_module._FEAS_TOL * scale)
+    # The root sqrt 6 - 1 is nearer the midpoint 0 than sqrt 6, and nearer
+    # the upper end than the lower.
+    assert tested[:3] == [lo0, hi0, math.sqrt(6.0) - 1.0 - 2.0 * close]
+    assert all(lo0 <= t <= hi0 for t in tested)
+    assert abs(r.lambda_upper - math.sqrt(6.0)) <= r.tol
+    assert abs(r.lambda_lower - math.sqrt(6.0)) <= r.tol
+
+
+@pytest.mark.parametrize("kernel_roots", [
+    lambda g, x, y: np.empty(0),
+    lambda g, x, y: np.array([-1e300, 1e300]),
+], ids=["none", "outside"])
+def test_search_without_a_root_in_its_bracket_closes_on_midpoints(monkeypatch, kernel_roots):
+    # With no kernel root inside a bracket every step is a midpoint: each
+    # value still closes within its step budget and the pair's LP bound, at
+    # the value the root steps find to tol * max(1, ||A||), and the root
+    # steps save LPs.
+    import quasieig.quasi as quasi_module
+
+    rng = np.random.default_rng(61)
+    cases = []
+    for k in range(12):
+        n = 2 + k % 6
+        make = (random_matrix, random_irreducible_nonneg, lambda rng, n: random_isc(rng, n, -1))[k % 3]
+        cases.append((make(rng, n), random_cone(rng, n) if k % 2 else Cone.orthant(n)))
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    stepped = [quasi_pair(a, cone) for a, cone in cases]
+    root_lps = len(solves)
+    monkeypatch.setattr(quasi_module, "_kernel_roots", kernel_roots)
+    for (a, cone), r in zip(cases, stepped):
+        before = len(solves)
+        m = quasi_pair(a, cone)
+        assert len(solves) - before <= 2 * _step_bound(a) + 4
+        tau = r.tol * max(1.0, np.linalg.norm(a, 2))
+        assert abs(m.lambda_upper - r.lambda_upper) <= tau
+        assert abs(m.lambda_lower - r.lambda_lower) <= tau
+    assert root_lps < len(solves) - root_lps
+
+
 def test_pure_row_strategy_cuts_the_upper_bracket_below_t():
     # At t = 0 the first row of G = [[-1, -1], [1, 1]] is negative
     # everywhere, so e_1 proves the upper side infeasible without an LP and
@@ -708,9 +814,9 @@ def test_pure_row_strategy_cuts_the_upper_bracket_below_t():
     import quasieig.quasi as quasi_module
 
     t = 0.0
-    found, margin = quasi_module._test(np.array([[-1.0, -1.0], [1.0, 1.0]]), t)
+    found, kernel = quasi_module._test(np.array([[-1.0, -1.0], [1.0, 1.0]]), t)
     assert found[1] == (None, t + (-1.0 + quasi_module._FEAS_TOL))
-    assert margin is None
+    assert kernel is None
 
 
 def test_interiority_reads_the_stated_margin():
