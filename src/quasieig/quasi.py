@@ -48,17 +48,18 @@ certifies:
 each widened by the feasibility slack.  The next t, the midpoint or a
 point by a kernel root of the last LP, lies in the first bracket wider
 than ``max(tol / 2, 2 slack)``; a bracket is done at that width.
-The symmetric-part eigenvalues bracket both values, which seeds the
-search.
+The symmetric-part eigenvalues of the searched matrix bracket both its
+values, which seeds the search.
 
 This reduction is validated against a grid oracle (``brute_minimax``),
 never assumed.  It shares no code with the LP: it takes the minimax over
 a simplex grid in float64, and finds the outer optimum along each grid
 row by a binary search for the crossing of monotone quotients.
 
-Reducible inputs
-----------------
-Put a source strong component of ``B``'s zero pattern first, ``B = [[B11,
+Strong components
+-----------------
+``B`` is solved along the strong components of its zero pattern, an
+irreducible one as one block.  Put a source component first, ``B = [[B11,
 B12], [0, B22]]``, with values ``u1, l1`` of ``B11`` and ``u2, l2`` of
 ``B22``, and ``w = (w1, w2)``.  By Ville's alternative ``lower > t`` iff
 some simplex ``w`` has ``(B - t I) w > 0``.
@@ -93,7 +94,7 @@ SUPPORT_TOL = 1e-12
 # conjugation round-off in B = U^T A U); structural-zero rows evaluate
 # exactly.  Any larger slack would inflate the value by its square root
 # on instances whose infeasibility margin decays quadratically.
-_FEAS_TOL = 256.0 * np.finfo(float).eps
+_FEAS_TOL = 256.0 * math.ulp(1.0)  # a float, so every cut built on it is one
 
 # The two values by their side, in the order the search closes them:
 # ``+1`` the upper value, ``-1`` the lower one.
@@ -168,15 +169,6 @@ def inner_sup(a, cone: Cone, v) -> float:
     ``B^T z``."""
     v = _require_in_cone(cone, v, "v")
     return 0.0 - _closed_inf(-_local_problem(a, cone).T, cone.to_local(v), "v")
-
-
-def _bracket(a) -> tuple[float, float, float]:
-    """The symmetric-part eigenvalues padded by ``1e-6 max(1, ||A||)``,
-    which bound both values, and that scale ``max(1, ||A||)``."""
-    sym = symmetric_part_eigs(a)
-    scale = max(1.0, operator_norm(a))
-    pad = 1e-6 * scale
-    return float(sym[0]) - pad, float(sym[-1]) + pad, scale
 
 
 def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> NumericalBreakdown:
@@ -286,9 +278,9 @@ def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) 
     LP on ``b``: at the value it can return any vertex of a degenerate
     optimal face; just inside, Bland's rule picks the most interior one."""
     g, slack = _shift(b, t)
-    w = solve_max_eps(g).x_star
-    gw, sup = g @ w, w > SUPPORT_TOL
-    return w if gw.min() >= -slack and t + float((gw[sup] / w[sup]).min()) >= floor else fallback
+    sol = solve_max_eps(g)
+    w, bound = _answer(t, slack, sol.x_star, sol.y_star, g @ sol.x_star, g.T @ sol.y_star)
+    return w if w is not None and bound >= floor else fallback
 
 
 def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
@@ -311,30 +303,31 @@ def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
             vectors[side], brackets[side][0] = vec, lifted
 
 
-def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> tuple:
+def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
     """Both quasi-eigenvalues of ``b`` as ``((upper, w), (lower, z))``
-    with ``w`` and ``z`` simplex vectors in the cone's axes; ``[lo0,
-    hi0]`` bounds both values and ``scale`` is ``max(1, ||A||)``.
+    with ``w`` and ``z`` simplex vectors in the cone's axes; ``scale`` is
+    ``max(1, ||A||)``.
 
     One stream of tests serves both values (see ``_test``).  Each side
     keeps a certified bracket ``[lo, hi]`` in its own coordinates, ``t``
     for the upper side (``+1``) and ``-t`` for the lower one (``-1``, see
-    ``_narrow``).  Both brackets start from ``[lo0, hi0]``: at the low
-    end the upper side must be feasible and the lower side infeasible, at
-    the high end the reverse; if not, a ``NumericalBreakdown`` names that
-    bracket.  The two are then closed in the order of ``_BOTH``, each
-    down to width ``close = max(tol / 2, 2 _FEAS_TOL scale)``.  At
-    ``tol / 2`` an upper and a lower value that coincide come out at most
-    ``tol`` apart, within the margin of ``bounds_check``.  The other term
-    bounds the slack of every test on the bracket (``max|B - t I|`` is
-    about ``2 scale`` there), so no test resolves ``t`` more finely; it
-    is the larger from ``||A||`` about 4.4e3 at the default tol.  The next
-    ``t`` in a side's bracket is its midpoint, unless the side's previous
-    step at least halved it and a kernel root of the last LP-solved test
-    lies strictly inside it (as in Crouzeix, Ferland and Schaible 1985):
-    then the root ``r`` nearest the midpoint, moved ``2 close`` towards the
-    farther end, if still strictly inside.  When ``r`` is the value, that
-    test falls on a known side of it and moves that end to about ``r``.
+    ``_narrow``).  Both start from ``[lo0, hi0]``, the symmetric-part
+    eigenvalues of ``b`` padded by ``1e-6 scale``: at the low end the upper
+    side must be feasible and the lower side infeasible, at the high end
+    the reverse; if not, a ``NumericalBreakdown`` names that bracket.  The
+    two are then closed in the order of ``_BOTH``, each down to width
+    ``close = max(tol / 2, 2 _FEAS_TOL scale)``.  At ``tol / 2`` an upper
+    and a lower value that coincide come out at most ``tol`` apart, within
+    the margin of ``bounds_check``.  The other term bounds the slack of
+    every test on the bracket (``max|B - t I|`` is about ``2 scale``
+    there), so no test resolves ``t`` more finely; it is the larger from
+    ``||A||`` about 4.4e3 at the default tol.  The next ``t`` in a side's
+    bracket is its midpoint, unless the side's previous step at least
+    halved it and a kernel root of the last LP-solved test lies strictly
+    inside it (as in Crouzeix, Ferland and Schaible 1985): then the root
+    ``r`` nearest the midpoint, moved ``2 close`` towards the farther end,
+    if still strictly inside.  When ``r`` is the value, that test falls on
+    a known side of it and moves that end to about ``r``.
 
     Each side's budget is ``2 L + 1`` steps, ``L = frexp(W / close)[1]``
     for its width ``W`` when its steps start (so ``W <= 2^L close``
@@ -354,6 +347,8 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
     # Factor 2 is the slack bound; a factor up to 8 leaves every bracket
     # at tol / 2 for ||A|| <= 1e3, a larger one coarsens large-scale values.
     close = max(0.5 * tol, 2.0 * _FEAS_TOL * scale)
+    sym, pad = symmetric_part_eigs(b), 1e-6 * scale
+    lo0, hi0 = float(sym[0]) - pad, float(sym[-1]) + pad
     brackets = {1: [lo0, hi0], -1: [-hi0, -lo0]}
     ends = [_test(b, t) for t in (lo0, hi0)]
     vectors = {}
@@ -396,16 +391,14 @@ def _search(b: np.ndarray, lo0: float, hi0: float, tol: float, scale: float) -> 
 
 def _split(b: np.ndarray, comps: list, tol: float, scale: float) -> dict:
     """Both values of ``b`` over its strong components ``comps``, sources
-    first, as ``{side: (value, vector, exact)}``: ``B11`` is the first, a
-    1x1 block its entry and a larger one searched at ``b``'s scale.  A value
-    not ``exact`` is the bound of rule 1 or 2 (module docstring)."""
+    first, as ``{side: (value, vector, exact)}``: ``B11`` is the first (all
+    of an irreducible ``b``), a 1x1 block its entry and a larger one searched
+    at ``b``'s scale.  A value not ``exact`` is the bound of rule 1 or 2."""
     head, rest = comps[0], comps[1:]
     if head.size == 1:
         first = ((float(b[head[0], head[0]]) + 0.0, np.ones(1)),) * 2  # + 0.0: no -0.0
     else:
-        block = b[np.ix_(head, head)]
-        sym, pad = symmetric_part_eigs(block), 1e-6 * scale
-        first = _search(block, float(sym[0]) - pad, float(sym[-1]) + pad, tol, scale)
+        first = _search(b[np.ix_(head, head)], tol, scale)
     embed = np.eye(b.shape[0])[:, head]  # exact: each entry is a vec entry plus zeros
     parts = {side: (value, embed @ vec, True) for side, (value, vec) in zip(_BOTH, first)}
     if not rest:
@@ -428,8 +421,8 @@ def _split(b: np.ndarray, comps: list, tol: float, scale: float) -> dict:
 
 def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     """Both quasi-eigenvalues with their certifying vectors, interiority
-    flags, saddle status and eigen-residuals.  One search serves both
-    values of ``B = U^T A U``, or of each block of a reducible ``B``: each
+    flags, saddle status and eigen-residuals of ``B = U^T A U``, solved
+    block by block (``_split``; an irreducible ``B`` is one block).  Each
     LP answers the upper test by its primal and the lower by its dual.
 
     The upper value is the lower end of its certified bracket (a
@@ -441,17 +434,18 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     2 * tol * max(1, ||A||)`` and ``inner_sup(a, cone, v_left) <=
     lambda_lower + 2 * tol * max(1, ||A||)``.
 
-    Cost: at most ``2 (2 L + 1) + 4`` LPs, ``L = ceil(log2((hi0 - lo0) /
-    close))`` on the symmetric-part bracket: each side's ``2 L + 1`` steps
-    (see ``_search``), two end tests and two re-solves (none if n = 1),
-    one LP each at most, and an LP of at most ``200 + 50 (3 n + 3)`` pivots.
-    A reducible ``B`` costs at most ``(s + 1)(4 L + 4) + 2``, ``s`` its
-    blocks wider than 1x1 (see ``_split``): a search on each, whose bracket
-    lies in the whole one, and a full search if a side stays undecided.
+    Cost: at most ``(s + f)(4 L + 4) + 2`` LPs, each of at most ``200 +
+    50 (3 n + 3)`` pivots.  ``s`` counts the blocks wider than 1x1, and
+    ``f = 1`` only when a value stays undecided, for a search on all of
+    ``B`` (never for an irreducible ``B``).  ``L = ceil(log2((hi0 - lo0) /
+    close))`` on the symmetric-part bracket of ``B``, which holds each
+    block's.  A search costs two end tests and each side's ``2 L + 1``
+    steps (see ``_search``), one LP each at most, and the two re-solves
+    one each (none if n = 1).
 
-    Caveat: when ``B`` is irreducible (a perturbed Jordan block, a rotated
-    cone) and its margin decays like ``(t - value)^k`` past the optimum, a
-    test can accept a ``t`` up to ``slack^(1/k)`` above the upper value,
+    Caveat: when a searched block's margin decays like ``(t - value)^k``
+    past the optimum (a perturbed Jordan block, a rotated cone), a test
+    can accept a ``t`` up to ``slack^(1/k)`` above the upper value,
     ``slack = 256 eps``; the returned vector still certifies the true value.
 
     Interiority uses margin ``10 * tol`` to separate genuine interior
@@ -463,13 +457,11 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     b = _local_problem(a, cone)
-    lo0, hi0, scale = _bracket(a)
-    comps = _strong_components(b)
-    # An irreducible B is one undecided block, bounded only by -inf and inf.
-    parts = _split(b, comps, tol, scale) if len(comps) > 1 else {s: (-s * math.inf, None, False) for s in _BOTH}
+    scale = max(1.0, operator_norm(a))
+    parts = _split(b, _strong_components(b), tol, scale)
     if not all(exact for *_, exact in parts.values()):
         # A search decides each undecided side, unless its block bound is better.
-        for side, found in zip(_BOTH, _search(b, lo0, hi0, tol, scale)):
+        for side, found in zip(_BOTH, _search(b, tol, scale)):
             if not parts[side][2] and side * found[0] >= side * parts[side][0]:
                 parts[side] = found
     (lam_up, w, *_), (lam_lo, z, *_) = parts[1], parts[-1]
@@ -483,8 +475,11 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     u_int = contains(cone, u, tol=10.0 * tol).in_interior
     v_int = contains(cone, v, tol=10.0 * tol).in_interior
     saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol * scale
-    res_r = float(np.linalg.norm(a @ u - lam_up * u) / np.linalg.norm(u))
-    res_l = float(np.linalg.norm(a.T @ v - lam_lo * v) / np.linalg.norm(v))
+    # Residuals on A / 2^e, max|A| / 2^e in [1/2, 1): exact, and no overflow.
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    s = np.ldexp(a, -e)
+    res_r = float(np.ldexp(np.linalg.norm(s @ u - math.ldexp(lam_up, -e) * u) / np.linalg.norm(u), e))
+    res_l = float(np.ldexp(np.linalg.norm(s.T @ v - math.ldexp(lam_lo, -e) * v) / np.linalg.norm(v), e))
     return QuasiEigenResult(
         lambda_upper=lam_up,
         lambda_lower=lam_lo,

@@ -341,14 +341,12 @@ def test_verify_solves_the_orthant_upper_value_once_for_a_reducible_matrix(
     # A reducible nonnegative matrix is not ISC, so over a rotated cone only
     # the Perron and max-real-part checks read the orthant pair, and they
     # share it.  With the base and conjugated pairs (both vectors are on
-    # the boundary, so no perturbed pair), that is three pairs.  Each pair
-    # takes its bracket once; the orthant pair, whose 1x1 blocks are its
-    # values, runs no search.
-    import quasieig.quasi as quasi_module
+    # the boundary, so no perturbed pair), that is three pairs.
+    import quasieig.analysis as analysis_module
 
     p = tmp_path / "reducible.json"
     p.write_text('{"n": 3, "rows": [[1, 1, 0], [0, 2, 0], [0.5, 0, 0.7]]}')
-    pairs = record_calls(monkeypatch, quasi_module, "_bracket")
+    pairs = record_calls(monkeypatch, analysis_module, "quasi_pair")
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p), cone_spec="rotation:3"))
     assert code == 0
     assert rep["flags"]["nonnegative"] and not rep["flags"]["isc"]
@@ -450,6 +448,19 @@ def test_quasi_at_large_scale_exits_0(tmp_path, capsys):
     assert main(["quasi", "--matrix", str(f), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["lambda_upper"] - 6e14**0.5) <= 1e-12 * 6e14**0.5
+
+
+def test_quasi_at_1e300_prints_finite_residuals(tmp_path, capsys):
+    # The residual norms of the ISC fixture times 1e300 once overflowed, and
+    # the JSON report printed Infinity for both.
+    f = tmp_path / "isc_1e300.json"
+    f.write_text('{"n":2,"rows":[[0,2e300],[3e300,0]]}')
+    assert main(["quasi", "--matrix", str(f), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert "Infinity" not in out
+    flags = json.loads(out)["flags"]
+    for name in ("eigen_residual_right", "eigen_residual_left"):
+        assert 0.0 <= flags[name] <= 1e-12 * 6.0**0.5 * 1e300, (name, flags[name])
 
 
 # A value other than RunConfig's default for each option a test sets.

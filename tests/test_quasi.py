@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quasieig import (
     eig_oracle,
     inner_inf,
     inner_sup,
+    operator_norm,
     quasi_pair,
     random_orthogonal,
     symmetric_part_eigs,
@@ -379,8 +381,7 @@ def _whole_search(a):
     matrix, as ``quasi_pair`` runs it on an irreducible input."""
     import quasieig.quasi as quasi_module
 
-    lo0, hi0, scale = quasi_module._bracket(a)
-    (upper, _), (lower, _) = quasi_module._search(a, lo0, hi0, 1e-9, scale)
+    (upper, _), (lower, _) = quasi_module._search(a, 1e-9, max(1.0, operator_norm(a)))
     return upper, lower
 
 
@@ -419,9 +420,17 @@ def _step_bound(a) -> int:
     down to the width at which a bracket closes."""
     import quasieig.quasi as quasi_module
 
-    lo0, hi0, scale = quasi_module._bracket(a)
+    lo0, hi0, scale = _start_bracket(a)
     close = max(0.5e-9, 2.0 * quasi_module._FEAS_TOL * scale)
     return 2 * max(0, math.ceil(math.log2((hi0 - lo0) / close))) + 1
+
+
+def _start_bracket(a) -> tuple[float, float, float]:
+    """``(lo0, hi0, scale)``: the bracket a search on all of ``a`` starts
+    from, its symmetric-part eigenvalues padded by ``1e-6 scale``, and
+    ``scale = max(1, ||A||)``."""
+    sym, scale = symmetric_part_eigs(a), max(1.0, operator_norm(a))
+    return float(sym[0]) - 1e-6 * scale, float(sym[-1]) + 1e-6 * scale, scale
 
 
 def _stall_narrowing(monkeypatch, calls):
@@ -502,6 +511,55 @@ def test_lp_calls_stay_within_the_stated_bound(monkeypatch):
     assert split == 21  # the Jordan blocks of sizes 2-8 and 14 block-triangular inputs
 
 
+def test_results_have_the_declared_types():
+    # QuasiEigenResult declares float values and residuals and bool flags.
+    # A numpy scalar in the feasibility slack once leaked into every cut
+    # built on it, and so into values and is_saddle.  The bound cases
+    # (Perron matrices at 1e7 and 1e150 among them) and the repeated
+    # spectra at seeds 0-39 over the orthant.
+    cases = _bound_cases() + [
+        (a, Cone.orthant(a.shape[0]))
+        for a in (repeated_normal(family, seed) for family in REPEATED_SPECTRA for seed in range(40))
+    ]
+    for k, (a, cone) in enumerate(cases):
+        r = quasi_pair(a, cone)
+        for name in ("lambda_upper", "lambda_lower", "eigen_residual_right", "eigen_residual_left"):
+            assert type(getattr(r, name)) is float, (k, name)
+        for name in ("u_interior", "v_interior", "is_saddle"):
+            assert type(getattr(r, name)) is bool, (k, name)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_eigen_residuals_are_finite_and_nonzero_at_extreme_scale(scale):
+    # The residuals are taken on A / 2^e, exactly, so neither overflows at
+    # 1e300 nor underflows to 0 at 1e-300, and no numpy warning is raised.
+    a = scale * random_irreducible_nonneg(np.random.default_rng(3), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = quasi_pair(a, Cone.orthant(4))
+    for res in (r.eigen_residual_right, r.eigen_residual_left):
+        assert math.isfinite(res) and 0.0 < res <= 4.0 * np.abs(a).max(), res
+
+
+def test_irreducible_input_is_one_search_on_b(monkeypatch):
+    # An irreducible B is the one-component case of the split: over the
+    # orthant one search runs, on all of B, and the pair's values are that
+    # search's bit for bit.
+    import quasieig.quasi as quasi_module
+
+    rng = np.random.default_rng(29)
+    cases = [ISC, EX2, random_irreducible_nonneg(rng, 5), random_isc(rng, 4, -1), random_matrix(rng, 6)]
+    for k, a in enumerate(cases):
+        b = quasi_module._local_problem(a, Cone.orthant(a.shape[0]))
+        searched = record_calls(monkeypatch, quasi_module, "_search")
+        r = quasi_pair(a, Cone.orthant(a.shape[0]))
+        assert len(searched) == 1, k
+        assert np.array_equal(searched[0][0], b), k
+        monkeypatch.undo()
+        (upper, _), (lower, _) = quasi_module._search(b, r.tol, max(1.0, operator_norm(a)))
+        assert (r.lambda_upper, r.lambda_lower) == (upper, lower), k
+
+
 def test_step_budget_names_the_lower_bracket_in_its_own_coordinates(monkeypatch):
     # diag(3, P) coupled by -1/2 and 1/2 between its first two coordinates
     # is irreducible, so one search serves both values (uncoupled, the split
@@ -561,13 +619,15 @@ def test_bracket_that_misses_the_value_breaks_down(monkeypatch, bracket):
     # The search trusts its starting bracket (the padded symmetric-part
     # eigenvalues): each end is tested once, and an end whose test
     # disagrees (upper end below the value sqrt(6), or lower end above it)
-    # is an error that names the bracket, never a value.
+    # is an error that names the bracket, never a value.  The wrong
+    # eigenvalues go in where the search derives its bracket.
     import quasieig.quasi as quasi_module
 
-    monkeypatch.setattr(quasi_module, "_bracket", lambda a: (*bracket, 1.0))
+    pad = 1e-6 * max(1.0, operator_norm(ISC))
+    monkeypatch.setattr(quasi_module, "symmetric_part_eigs", lambda m: np.array(bracket))
     with pytest.raises(NumericalBreakdown) as exc:
         quasi_pair(ISC, ORTHANT2)
-    assert f"bracket [{bracket[0]:.17g}, {bracket[1]:.17g}]" in str(exc.value)
+    assert f"bracket [{bracket[0] - pad:.17g}, {bracket[1] + pad:.17g}]" in str(exc.value)
 
 
 def test_lp_solves_per_value(monkeypatch):
@@ -609,7 +669,7 @@ def test_values_lie_within_the_closing_width_of_the_eigenvalue():
         a = make(rng, n)
         target = pick(lam.real for lam, _ in eig_oracle(a))
         r = quasi_pair(a, Cone.orthant(n))
-        scale = quasi_module._bracket(a)[2]
+        scale = max(1.0, operator_norm(a))
         close = max(0.5 * r.tol, 2.0 * quasi_module._FEAS_TOL * scale)
         within = close + 2.0 * quasi_module._FEAS_TOL * scale
         assert abs(r.lambda_upper - target) <= within, (k, r.lambda_upper - target)
@@ -765,7 +825,7 @@ def test_root_step_tests_beside_the_root_nearest_the_midpoint(monkeypatch):
 
     monkeypatch.setattr(quasi_module, "_test", fixed_roots)
     r = quasi_pair(ISC, ORTHANT2)
-    lo0, hi0, scale = quasi_module._bracket(ISC)
+    lo0, hi0, scale = _start_bracket(ISC)
     close = max(0.5 * r.tol, 2.0 * quasi_module._FEAS_TOL * scale)
     # The root sqrt 6 - 1 is nearer the midpoint 0 than sqrt 6, and nearer
     # the upper end than the lower.
