@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonFinite, NumericalBreakdown
 
@@ -107,7 +108,7 @@ def solve_max_eps(problem) -> LpSolution:
     (the row duals); no extra solve runs.
     """
     g = np.atleast_2d(np.asarray(problem, dtype=float))
-    scale = float(np.abs(g).max()) or 1.0
+    scale = float(np.maximum.reduce(np.abs(g), axis=None)) or 1.0
     if not scale < math.inf:  # NaN fails this too
         raise NonFinite("constraint matrix must be finite")
     m, k = g.shape
@@ -122,13 +123,14 @@ def solve_max_eps(problem) -> LpSolution:
 
     # Starting vertex: the best single x-coordinate, eps at its worst row
     # margin, that row's slack nonbasic at zero.
-    col_worst = gs.min(axis=0)
+    col_worst = np.minimum.reduce(gs, axis=0)
     j0 = int(col_worst.argmax())
     basis = starts[int(gs[:, j0].argmin())].copy()
     basis[0] = j0
     basis[1] = k if col_worst[j0] >= 0.0 else k + 1
 
-    body[...] = np.linalg.solve(body[:, basis], body)
+    # np.linalg.solve's gufunc, unchecked: the starting basis is nonsingular.
+    body[...] = _umath_linalg.solve(body[:, basis], body)
     reduced[...] = cost - cost[basis] @ body[:, :nvar]
 
     budget = 200 + 50 * (nvar + nrow)
@@ -149,7 +151,7 @@ def solve_max_eps(problem) -> LpSolution:
             raise NumericalBreakdown("unbounded pivot direction in max-eps LP")
         c = col[rows]
         ratios = np.maximum(rhs[rows], 0.0) / c
-        near = rows[ratios <= (ratios + _TIE_DAMAGE_TOL / c).min()]
+        near = rows[ratios <= np.minimum.reduce(ratios + _TIE_DAMAGE_TOL / c)]
         # Bland tie-break: the lowest basic variable among the tied rows.
         leave_row = int(near[basis[near].argmin()] if near.size > 1 else near[0])
 
@@ -161,7 +163,7 @@ def solve_max_eps(problem) -> LpSolution:
     else:
         raise NumericalBreakdown("max-eps LP exceeded its pivot budget")
 
-    if rhs.min() < -1e-9:
+    if np.minimum.reduce(rhs) < -1e-9:
         raise NumericalBreakdown("max-eps LP lost primal feasibility")
 
     full = np.zeros(nvar)

@@ -74,7 +74,7 @@ class ClassificationReport:
 
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def _strong_components(m: np.ndarray) -> list[np.ndarray]:

@@ -187,8 +187,8 @@ def _shift(b: np.ndarray, t: float):
     # does off the diagonal, gives zero entries the same signs, and C
     # order the same summation order in later products.
     g = np.subtract(b, 0.0 * t, order="C")
-    g.flat[:: b.shape[0] + 1] -= t
-    return g, _FEAS_TOL * max(1.0, float(np.max(np.abs(g))))
+    g.reshape(-1)[:: b.shape[0] + 1] -= t
+    return g, _FEAS_TOL * max(1.0, float(np.maximum.reduce(np.abs(g), axis=None)))
 
 
 def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: np.ndarray,
@@ -209,15 +209,16 @@ def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: np.ndarray
     one on ``-G^T`` at ``-t`` with the roles of ``w`` and ``y`` swapped,
     so with ``gw = -G^T y`` and ``gty = -G w``.
     """
-    if gw.min() >= -slack:
+    if np.minimum.reduce(gw) >= -slack:
         sup = w > SUPPORT_TOL
-        return w, t + float((gw[sup] / w[sup]).min())
-    return None, t + (float(gty.max()) + slack * float(y.sum())) / float(y.max())
+        return w, t + float(np.minimum.reduce(gw[sup] / w[sup]))
+    cut = float(np.maximum.reduce(gty)) + slack * float(np.add.reduce(y))
+    return None, t + cut / float(np.maximum.reduce(y))
 
 
-def _test(b: np.ndarray, t: float):
+def _test(b: np.ndarray, t: float, memo: dict):
     """Test ``t`` for both values: ``{side: (vector, bound)}`` and its LP's
-    kernel roots in ``t`` (``_kernel_roots``), or None when no LP ran.
+    kernel roots in ``t`` (``_kernel_roots`` on ``memo``), or None if no LP.
 
     Side ``+1`` asks whether ``G w >= 0`` has a simplex point ``w``, side
     ``-1`` whether ``G^T y <= 0`` has one, answered in its negated
@@ -231,8 +232,8 @@ def _test(b: np.ndarray, t: float):
     ``solve_max_eps(-G^T)``.
     """
     g, slack = _shift(b, t)
-    cols, rows = g.min(axis=0), g.max(axis=1)
-    j, i = int(np.argmax(cols)), int(np.argmin(rows))
+    cols, rows = np.minimum.reduce(g, axis=0), np.maximum.reduce(g, axis=1)
+    j, i = int(cols.argmax()), int(rows.argmin())
     found = {}
     if cols[j] >= -slack:
         found[1] = (np.eye(1, g.shape[1], j)[0], float(b[j, j]))
@@ -252,24 +253,29 @@ def _test(b: np.ndarray, t: float):
         found[1] = _answer(t, slack, x, y, gx, gty)
     if -1 not in found:
         found[-1] = _answer(-t, slack, y, x, -gty, -gx)
-    return found, t + _kernel_roots(g, x, y)
+    return found, _kernel_roots(g, t, x, y, memo)
 
 
-def _kernel_roots(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The real ``s != 0`` with ``det(G_RS - s I_RS) = 0``, ``S`` and ``R``
-    the supports of ``x`` and ``y``, if ``|R| = |S|`` and ``G_RS`` is
-    nonsingular: ``1 / mu`` for each real eigenvalue ``mu != 0`` of ``G_RS^-1
-    I_RS``.  While the kernel ``(R, S)`` stays optimal, the game's value at
-    ``t + s`` is ``1 / (1^T (G_RS - s I_RS)^-1 1)`` (Shapley and Snow 1950)."""
-    r, s = np.flatnonzero(y > 0.0), np.flatnonzero(x > 0.0)
-    if r.size != s.size:
-        return np.empty(0)
-    try:
-        mu = np.linalg.eigvals(np.linalg.solve(g[np.ix_(r, s)], np.eye(g.shape[0])[np.ix_(r, s)]))
-    except np.linalg.LinAlgError:
-        return np.empty(0)
-    real = (mu != 0.0) & (np.abs(mu.imag) <= 1e-9 * np.abs(mu))
-    return 1.0 / mu.real[real]
+def _kernel_roots(g: np.ndarray, t: float, x: np.ndarray, y: np.ndarray, memo: dict) -> np.ndarray:
+    """The ``t + s`` for the real ``s != 0`` with ``det(G_RS - s I_RS) = 0``,
+    ``G = B - t I``, ``S`` and ``R`` the supports of ``x`` and ``y``, if ``|R|
+    = |S|`` and ``G_RS`` is nonsingular: ``1 / mu`` for each real eigenvalue
+    ``mu != 0`` of ``G_RS^-1 I_RS``.  While the kernel ``(R, S)`` stays
+    optimal, the game's value at ``t + s`` is ``1 / (1^T (G_RS - s I_RS)^-1
+    1)`` (Shapley and Snow 1950).  The roots do not depend on ``t``: ``memo``,
+    one search's dict, keeps them by ``(y > 0, x > 0)`` as bytes, unless
+    ``G_RS`` is singular at ``t``, as it need not be at the next."""
+    r, s = y > 0.0, x > 0.0
+    key = r.tobytes(), s.tobytes()
+    roots = memo.get(key)
+    if roots is None and np.count_nonzero(r) == np.count_nonzero(s):
+        try:
+            mu = np.linalg.eigvals(np.linalg.solve(g[r][:, s], np.eye(g.shape[0])[r][:, s]))
+        except np.linalg.LinAlgError:
+            return np.empty(0)
+        real = (mu != 0.0) & (np.abs(mu.imag) <= 1e-9 * np.abs(mu))
+        roots = memo[key] = t + 1.0 / mu.real[real]
+    return np.empty(0) if roots is None else roots
 
 
 def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) -> np.ndarray:
@@ -327,7 +333,9 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
     inside it (as in Crouzeix, Ferland and Schaible 1985): then the root
     ``r`` nearest the midpoint, moved ``2 close`` towards the farther end,
     if still strictly inside.  When ``r`` is the value, that test falls on
-    a known side of it and moves that end to about ``r``.
+    a known side of it and moves that end to about ``r``.  Each kernel's
+    roots are computed once per call, in a dict of the call keyed by the
+    LP's supports (``_kernel_roots``).
 
     Each side's budget is ``2 L + 1`` steps, ``L = frexp(W / close)[1]``
     for its width ``W`` when its steps start (so ``W <= 2^L close``
@@ -350,7 +358,8 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
     sym, pad = symmetric_part_eigs(b), 1e-6 * scale
     lo0, hi0 = float(sym[0]) - pad, float(sym[-1]) + pad
     brackets = {1: [lo0, hi0], -1: [-hi0, -lo0]}
-    ends = [_test(b, t) for t in (lo0, hi0)]
+    memo = {}
+    ends = [_test(b, t, memo) for t in (lo0, hi0)]
     vectors = {}
     for side in _BOTH:
         # The answers at the side's own lo and hi (the lower side's lo is -hi0).
@@ -377,11 +386,11 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
             t = 0.5 * (lo + hi)
             inside = side * roots[(lo < side * roots) & (side * roots < hi)]
             if halved and inside.size:
-                root = float(inside[np.argmin(np.abs(inside - t))])
+                root = float(inside[np.abs(inside - t).argmin()])
                 step = root - 2.0 * close if root - lo > hi - root else root + 2.0 * close
                 if lo < step < hi:
                     t = step
-            found, kernel = _test(b, side * t)
+            found, kernel = _test(b, side * t, memo)
             _narrow(brackets, vectors, side * t, found)
             if kernel is not None:
                 roots = kernel
@@ -471,15 +480,16 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
         z = _most_interior(-b.T, -lam_lo - close, -lam_lo - tol * scale, z)
     u = cone.from_local(w)
     v = cone.from_local(z)
-    v = v / np.linalg.norm(v)
+    v = v / math.sqrt(v @ v)
     u_int = contains(cone, u, tol=10.0 * tol).in_interior
     v_int = contains(cone, v, tol=10.0 * tol).in_interior
     saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol * scale
     # Residuals on A / 2^e, max|A| / 2^e in [1/2, 1): exact, and no overflow.
-    e = math.frexp(float(np.max(np.abs(a))))[1]
+    e = math.frexp(float(np.maximum.reduce(np.abs(a), axis=None)))[1]
     s = np.ldexp(a, -e)
-    res_r = float(np.ldexp(np.linalg.norm(s @ u - math.ldexp(lam_up, -e) * u) / np.linalg.norm(u), e))
-    res_l = float(np.ldexp(np.linalg.norm(s.T @ v - math.ldexp(lam_lo, -e) * v) / np.linalg.norm(v), e))
+    r_r, r_l = s @ u - math.ldexp(lam_up, -e) * u, s.T @ v - math.ldexp(lam_lo, -e) * v
+    res_r = float(np.ldexp(math.sqrt(r_r @ r_r) / math.sqrt(u @ u), e))
+    res_l = float(np.ldexp(math.sqrt(r_l @ r_l) / math.sqrt(v @ v), e))
     return QuasiEigenResult(
         lambda_upper=lam_up,
         lambda_lower=lam_lo,

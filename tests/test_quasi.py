@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -790,20 +794,20 @@ def test_kernel_roots_are_the_real_roots_of_the_kernel_pencil():
     x, y = np.array([0.5, 0.0, 0.5, 0.0]), np.array([0.25, 0.0, 0.75, 0.0])
     eig = np.linalg.eigvals(g[np.ix_([0, 2], [0, 2])])
     assert not eig.imag.any()
-    assert np.sort(roots(g, x, y)) == pytest.approx(np.sort(eig.real), rel=1e-12)
+    assert np.sort(roots(g, 0.0, x, y, {})) == pytest.approx(np.sort(eig.real), rel=1e-12)
     # Supports of different sizes hold no square kernel: no root.
-    assert roots(g, x, np.array([0.25, 0.25, 0.5, 0.0])).size == 0
+    assert roots(g, 0.0, x, np.array([0.25, 0.25, 0.5, 0.0]), {}).size == 0
     # R = {0, 1} and S = {1, 2}: I_RS = [[0, 0], [1, 0]], so the
     # determinant g01 g12 - g02 (g11 - s) is linear in s, with the one root
     # below; G_RS^-1 I_RS has rank 1, and its zero eigenvalue is no root.
     x, y = np.array([0.0, 0.5, 0.5, 0.0]), np.array([0.5, 0.5, 0.0, 0.0])
-    assert roots(g, x, y) == pytest.approx([g[1, 1] - g[0, 1] * g[1, 2] / g[0, 2]], rel=1e-12)
+    assert roots(g, 0.0, x, y, {}) == pytest.approx([g[1, 1] - g[0, 1] * g[1, 2] / g[0, 2]], rel=1e-12)
     # A rotation-scaling block in the kernel gives a complex pair, which
     # is no root of the real pencil; the real eigenvalue still is.
     g = np.array([[0.5, -2.0, 0.0], [2.0, 0.5, 0.0], [0.0, 0.0, -0.75]])
-    assert roots(g, np.full(3, 1 / 3), np.full(3, 1 / 3)) == pytest.approx([-0.75], rel=1e-12)
+    assert roots(g, 0.0, np.full(3, 1 / 3), np.full(3, 1 / 3), {}) == pytest.approx([-0.75], rel=1e-12)
     # A singular G_RS has no kernel roots.
-    assert roots(np.ones((2, 2)), np.full(2, 0.5), np.full(2, 0.5)).size == 0
+    assert roots(np.ones((2, 2)), 0.0, np.full(2, 0.5), np.full(2, 0.5), {}).size == 0
 
 
 def test_root_step_tests_beside_the_root_nearest_the_midpoint(monkeypatch):
@@ -818,9 +822,9 @@ def test_root_step_tests_beside_the_root_nearest_the_midpoint(monkeypatch):
     fixed = np.array([-3.0, math.sqrt(6.0) - 1.0, math.sqrt(6.0), 3.0])
     test, tested = quasi_module._test, []
 
-    def fixed_roots(b, t):
+    def fixed_roots(b, t, memo):
         tested.append(t)
-        found, kernel = test(b, t)
+        found, kernel = test(b, t, memo)
         return found, None if kernel is None else fixed
 
     monkeypatch.setattr(quasi_module, "_test", fixed_roots)
@@ -836,8 +840,8 @@ def test_root_step_tests_beside_the_root_nearest_the_midpoint(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel_roots", [
-    lambda g, x, y: np.empty(0),
-    lambda g, x, y: np.array([-1e300, 1e300]),
+    lambda g, t, x, y, memo: np.empty(0),
+    lambda g, t, x, y, memo: np.array([-1e300, 1e300]),
 ], ids=["none", "outside"])
 def test_search_without_a_root_in_its_bracket_closes_on_midpoints(monkeypatch, kernel_roots):
     # With no kernel root inside a bracket every step is a midpoint: each
@@ -866,6 +870,80 @@ def test_search_without_a_root_in_its_bracket_closes_on_midpoints(monkeypatch, k
     assert root_lps < len(solves) - root_lps
 
 
+def _memo_corpus():
+    """Seeded generic, Perron and Metzler inputs at n = 2-7, over the
+    orthant and rotated cones."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for k in range(18):
+        n = 2 + k % 6
+        make = (random_matrix, random_irreducible_nonneg, random_metzler)[k % 3]
+        cases.append((make(rng, n), random_cone(rng, n) if k % 2 else Cone.orthant(n)))
+    return cases
+
+
+def test_each_kernel_builds_its_pencil_once_per_search(monkeypatch):
+    # The roots of det(B_RS - t I_RS) belong to the kernel (R, S), not to
+    # the tested t: each search computes them once per square kernel,
+    # however often its LPs return that kernel.
+    import quasieig.quasi as quasi_module
+
+    kernels = record_calls(monkeypatch, quasi_module, "_kernel_roots")
+    pencils = record_calls(monkeypatch, np.linalg, "eigvals")
+    for a, cone in _memo_corpus():
+        quasi_pair(a, cone)
+    # The recorded calls keep each search's memo alive, so its id is unique.
+    square = {(id(memo), (y > 0.0).tobytes(), (x > 0.0).tobytes())
+              for g, t, x, y, memo in kernels if np.count_nonzero(x > 0.0) == np.count_nonzero(y > 0.0)}
+    assert len(pencils) == len(square) < len(kernels)
+
+
+def test_kernels_sharing_one_support_keep_their_own_roots():
+    # The memo is keyed by both supports.  (R, S) = ({1, 2}, {0, 1}) shares
+    # S with ({0, 1}, {0, 1}), and ({0, 1}, {1, 2}) shares R with it; each
+    # still gets the roots of its own pencil, as with a fresh memo.
+    import quasieig.quasi as quasi_module
+
+    roots = quasi_module._kernel_roots
+    g, t = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 4)), 0.25
+    front, middle = np.array([0.5, 0.5, 0.0, 0.0]), np.array([0.0, 0.5, 0.5, 0.0])
+    kernels = [(front, front), (front, middle), (middle, front)]  # (x, y): S, R
+    memo = {}
+    shared = [roots(g, t, x, y, memo) for x, y in kernels]
+    assert len(memo) == 3
+    for got, (x, y) in zip(shared, kernels):
+        assert roots(g, t, x, y, memo) is got
+        assert got.tobytes() == roots(g, t, x, y, {}).tobytes()
+    # det(G_RS - s I_RS) is linear in s for the two mixed kernels.
+    assert shared[1] == pytest.approx([t + g[1, 1] - g[1, 0] * g[2, 1] / g[2, 0]], rel=1e-12)
+    assert shared[2] == pytest.approx([t + g[1, 1] - g[0, 1] * g[1, 2] / g[0, 2]], rel=1e-12)
+    assert np.sort(shared[0]) == pytest.approx(np.sort(t + np.linalg.eigvals(g[:2, :2]).real), rel=1e-12)
+
+
+def _pair_bits(a, cone):
+    r = quasi_pair(a, cone)
+    return [r.lambda_upper.hex(), r.lambda_lower.hex(), r.u_right.tobytes().hex(), r.v_left.tobytes().hex(),
+            r.u_interior, r.v_interior, r.is_saddle, r.eigen_residual_right.hex(), r.eigen_residual_left.hex()]
+
+
+def test_no_state_carries_across_calls():
+    # Each search's memo dies with it: the corpus solved forward, in
+    # reverse, each input twice in a row, and in reverse by a fresh
+    # interpreter gives the same bits.  State that the first caller fills
+    # in would read the same in any later order, so only the fresh
+    # interpreter shows it.
+    cases = _memo_corpus()
+    forward = [_pair_bits(a, cone) for a, cone in cases]
+    assert [_pair_bits(a, cone) for a, cone in cases[::-1]] == forward[::-1]
+    assert [(_pair_bits(a, cone), _pair_bits(a, cone)) for a, cone in cases] == [(b, b) for b in forward]
+    code = ("import json; from test_quasi import _memo_corpus, _pair_bits; "
+            "print(json.dumps([_pair_bits(a, cone) for a, cone in _memo_corpus()[::-1]]))")
+    fresh = subprocess.run([sys.executable, "-c", code], cwd=os.path.dirname(__file__), capture_output=True,
+                           text=True, timeout=120, check=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert json.loads(fresh.stdout) == forward[::-1]
+
+
 def test_pure_row_strategy_cuts_the_upper_bracket_below_t():
     # At t = 0 the first row of G = [[-1, -1], [1, 1]] is negative
     # everywhere, so e_1 proves the upper side infeasible without an LP and
@@ -874,7 +952,7 @@ def test_pure_row_strategy_cuts_the_upper_bracket_below_t():
     import quasieig.quasi as quasi_module
 
     t = 0.0
-    found, kernel = quasi_module._test(np.array([[-1.0, -1.0], [1.0, 1.0]]), t)
+    found, kernel = quasi_module._test(np.array([[-1.0, -1.0], [1.0, 1.0]]), t, {})
     assert found[1] == (None, t + (-1.0 + quasi_module._FEAS_TOL))
     assert kernel is None
 
