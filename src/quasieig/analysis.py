@@ -155,9 +155,9 @@ _ORTHANT_IDENTITIES = {
 
 
 def _orthant_identity_check(name: str, a, tol: float) -> TheoremReport:
-    """Shared body of ``perron_check`` and ``max_re_check``: the upper
-    quasi-eigenvalue over the orthant dominates the largest value of the
-    spectral functional, with equality when it lands on one."""
+    """Shared body of ``perron_check`` and ``max_re_check``: ``upper >= max
+    functional - tau`` over the orthant.  ``details`` marks an upper value
+    within ``tau`` of any eigenvalue's, where equality within ``tau`` follows."""
     flag, why_not, functional, label, match = _ORTHANT_IDENTITIES[name]
     facts = _facts(a)
     if not getattr(facts.flags, flag):
@@ -166,14 +166,12 @@ def _orthant_identity_check(name: str, a, tol: float) -> TheoremReport:
     tau = _tau(facts, tol)
     values = [functional(val) for val, _ in facts.eigs]
     bound = max(values)
-    holds = lam >= bound - tau
     details = f"upper={_fmt(lam)} {label}={_fmt(bound)}"
     if min(abs(lam - x) for x in values) <= tau:
-        holds = holds and abs(lam - bound) <= tau
         details += f"; equality branch (value matches an eigenvalue {match})"
     return TheoremReport(
         name=name,
-        holds=holds,
+        holds=lam >= bound - tau,
         lhs=lam,
         rhs=bound,
         slack=lam - bound,
@@ -183,7 +181,7 @@ def _orthant_identity_check(name: str, a, tol: float) -> TheoremReport:
 
 def perron_check(a, tol: float = 1e-9) -> TheoremReport:
     """Nonnegative matrices: the upper quasi-eigenvalue over the orthant
-    dominates the spectral radius, with equality when it lands on an
+    dominates the spectral radius, and equals it when it lands on an
     eigenvalue magnitude."""
     return _orthant_identity_check("perron_root", a, tol)
 
@@ -191,7 +189,7 @@ def perron_check(a, tol: float = 1e-9) -> TheoremReport:
 def max_re_check(a, tol: float = 1e-9) -> TheoremReport:
     """Matrices with nonnegative off-diagonal entries: the upper
     quasi-eigenvalue over the orthant dominates the largest eigenvalue
-    real part, with equality when it lands on one."""
+    real part, and equals it when it lands on one."""
     return _orthant_identity_check("max_real_part", a, tol)
 
 
@@ -216,13 +214,7 @@ def isc_check(a, tol: float = 1e-9) -> TheoremReport:
     pair = facts.pair(Cone.orthant(facts.a.shape[0]), tol)
     max_res = max(pair.eigen_residual_right, pair.eigen_residual_left)
     simple = _eig_is_simple(facts, pair.lambda_upper)
-    holds = (
-        pair.is_saddle
-        and pair.u_interior
-        and pair.v_interior
-        and max_res <= 100.0 * tau
-        and simple
-    )
+    holds = pair.is_saddle and max_res <= 100.0 * tau and simple
     details = (
         f"lambda={_fmt(pair.lambda_upper)} gap={_fmt(pair.lambda_upper - pair.lambda_lower)} "
         f"saddle={pair.is_saddle} residual={_fmt(max_res)} simple={simple}"
@@ -328,8 +320,10 @@ def perturbation_bound_check(a, cone: Cone, d, tol: float = 1e-9) -> TheoremRepo
 
 
 def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
-    """The symmetric-part eigenvalue sandwich, plus the eigenvalue
-    real-part sandwich when the matrix is normal."""
+    """The symmetric-part eigenvalue sandwich ``lambda_min((A + A^T) / 2)
+    <= lower <= upper <= lambda_max((A + A^T) / 2)``.  For a normal ``A``
+    the symmetric part is ``Q Re(Lambda) Q^T``, so this is also the
+    eigenvalue real-part sandwich."""
     facts = _facts(a)
     pair = facts.pair(cone, tol)
     sym = symmetric_part_eigs(facts.a)
@@ -343,11 +337,6 @@ def bounds_check(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
         f"sym_bounds=[{_fmt(lo)}, {_fmt(hi)}] "
         f"lower={_fmt(pair.lambda_lower)} upper={_fmt(pair.lambda_upper)}"
     )
-    if facts.flags.normal:
-        res = [val.real for val, _ in facts.eigs]
-        rlo, rhi = min(res), max(res)
-        margins += [pair.lambda_lower - rlo, rhi - pair.lambda_upper]
-        details += f"; normal re_bounds=[{_fmt(rlo)}, {_fmt(rhi)}]"
     slack = min(margins)
     return TheoremReport(
         name="spectral_sandwich",
@@ -447,9 +436,9 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     if hit:
         case = "interior-subspace"
         pred_up = pred_lo = hit[0]
-    # Every cone axis has all its mass in one subspace: the cone is the
-    # canonical form's orthant, up to rotations inside the 2-planes.
-    elif n <= 2 or (np.add.reduceat(k.T**2, starts, axis=0).max(axis=0) >= 1.0 - 1e-8).all():
+    # Every cone axis has all its mass in one subspace: the cone is the canonical
+    # form's orthant, up to rotations in the 2-planes (for n <= 2, whenever no hit).
+    elif (np.add.reduceat(k.T**2, starts, axis=0).max(axis=0) >= 1.0 - 1e-8).all():
         case = "boundary-only"
         pred_up, pred_lo = max(re_parts), min(re_parts)
     else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFinite, NonSquare, UnsupportedDimension
+from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, NonSquare, UnsupportedDimension
 
 #: Largest dimension accepted by the dense eigenvalue oracle.
 MAX_EIG_DIM = 64
@@ -37,14 +37,15 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def as_vector(values, n: int | None = None) -> np.ndarray:
-    """Validate and return a vector as a float64 array of length ``n``."""
+def as_vector(values) -> np.ndarray:
+    """Validate and return a 1-D float64 array: ``DimensionMismatch`` for
+    any other shape, ``NonFinite`` for NaN/inf entries."""
     try:
-        v = np.asarray(values, dtype=float).reshape(-1)
+        v = np.asarray(values, dtype=float)
     except OverflowError:
         raise NonFinite("vector entries must be finite") from None
-    if n is not None and v.shape[0] != n:
-        raise NonSquare(f"expected a vector of length {n}, got {v.shape[0]}")
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise NonFinite("vector entries must be finite")
     return v

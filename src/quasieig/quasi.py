@@ -125,15 +125,14 @@ class QuasiEigenResult:
     tol: float
 
 
-def _local_problem(a, cone: Cone):
-    a = as_matrix(a)
+def _local_problem(a: np.ndarray, cone: Cone):
     if a.shape[0] != cone.n:
         raise DimensionMismatch("matrix and cone dimensions differ")
     return cone.basis.T @ a @ cone.basis
 
 
 def _require_in_cone(cone: Cone, x, what: str) -> np.ndarray:
-    x = as_vector(x, cone.n)
+    x = as_vector(x)
     if not contains(cone, x, tol=1e-9).in_cone:
         raise NotInCone(f"{what} is not in the cone")
     return x
@@ -159,7 +158,7 @@ def inner_inf(a, cone: Cone, u) -> float:
     """``inf over interior v`` of the quotient at fixed cone vector ``u``,
     in closed form on ``w = U^T u`` and ``B = U^T A U``."""
     u = _require_in_cone(cone, u, "u")
-    return _closed_inf(_local_problem(a, cone), cone.to_local(u), "u")
+    return _closed_inf(_local_problem(as_matrix(a), cone), cone.to_local(u), "u")
 
 
 def inner_sup(a, cone: Cone, v) -> float:
@@ -168,7 +167,7 @@ def inner_sup(a, cone: Cone, v) -> float:
     zero coordinate of ``z = U^T v`` meets a positive coordinate of
     ``B^T z``."""
     v = _require_in_cone(cone, v, "v")
-    return 0.0 - _closed_inf(-_local_problem(a, cone).T, cone.to_local(v), "v")
+    return 0.0 - _closed_inf(-_local_problem(as_matrix(a), cone).T, cone.to_local(v), "v")
 
 
 def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> NumericalBreakdown:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from quasieig import (
     Cone,
+    ConvergenceFailure,
     DimensionMismatch,
     MatrixFacts,
     NotInterior,
@@ -123,6 +125,55 @@ def test_perturbation_constants_examples():
         perturbation_constants(np.diag([2.0, 1.0]), ORTHANT2)
 
 
+def _facts_with_pair(a, cone, **changes):
+    """A ``MatrixFacts`` whose pair over ``cone`` at the default tol is the
+    solved one with ``changes`` applied."""
+    facts = MatrixFacts(a)
+    key = (cone.basis.tobytes(), 1e-9)
+    facts._pairs[key] = dataclasses.replace(facts.pair(cone, 1e-9), **changes)
+    return facts
+
+
+def _check_names(rep):
+    return [part.split(":")[0] for part in rep.details.split("; ")[:-1]]
+
+
+@pytest.mark.parametrize("interior", ["u", "v"])
+def test_one_interior_vector_gives_its_one_sided_constant_and_bounds(interior):
+    # ISC's pair has both vectors interior; each is made a boundary vector
+    # in turn.  Only the interior one's constant is finite, and only its
+    # one-sided bounds are checked.
+    facts = _facts_with_pair(ISC, ORTHANT2, u_interior=interior == "u", v_interior=interior == "v")
+    pb = perturbation_constants(facts, ORTHANT2)
+    finite = pytest.approx(math.sqrt(5.0) / math.sqrt(2.0), abs=1e-7)
+    assert (pb.c1, pb.c2) == ((math.inf, finite) if interior == "u" else (finite, math.inf))
+    up = perturbation_bound_check(facts, ORTHANT2, 0.1 * np.ones((2, 2)))
+    down = perturbation_bound_check(facts, ORTHANT2, -0.1 * np.ones((2, 2)))
+    assert up.holds and down.holds
+    if interior == "u":
+        assert _check_names(up) == ["lower_vs_upper_lipschitz", "monotone_nonnegative"]
+        assert _check_names(down) == ["lower_vs_upper_lipschitz"]
+    else:
+        assert _check_names(up) == ["upper_vs_lower_lipschitz"]
+        assert _check_names(down) == ["upper_vs_lower_lipschitz", "monotone_nonpositive"]
+
+
+@pytest.mark.parametrize(
+    "changes", [dict(is_saddle=False), dict(eigen_residual_right=1.0), dict(eigen_residual_left=1.0)]
+)
+def test_isc_check_fails_without_each_part_of_its_saddle(changes):
+    assert isc_check(ISC).holds
+    assert not isc_check(_facts_with_pair(ISC, ORTHANT2, **changes)).holds
+
+
+def test_isc_check_fails_at_a_repeated_eigenvalue():
+    facts = MatrixFacts(ISC)
+    lam = facts.pair(ORTHANT2, 1e-9).lambda_upper
+    facts.eigs = [(complex(lam), np.ones(2)), (complex(lam), np.ones(2))]
+    rep = isc_check(facts)
+    assert not rep.holds and "simple=False" in rep.details
+
+
 def test_perturbation_bound_check_zero_and_signed():
     rep = perturbation_bound_check(ISC, ORTHANT2, np.zeros((2, 2)))
     assert rep.holds
@@ -130,6 +181,12 @@ def test_perturbation_bound_check_zero_and_signed():
     assert rep.holds and "monotone_nonnegative" in rep.details
     rep = perturbation_bound_check(ISC, ORTHANT2, -0.1 * np.ones((2, 2)))
     assert rep.holds and "monotone_nonpositive" in rep.details
+    # Both vectors interior: both one-sided bounds and the two-sided one.
+    rep = perturbation_bound_check(ISC, ORTHANT2, [[0.1, -0.1], [0.0, 0.0]])
+    assert rep.holds and rep.details.endswith("; perturbation_sign=mixed")
+    assert _check_names(rep) == [
+        "upper_vs_lower_lipschitz", "lower_vs_upper_lipschitz", "two_sided_stability"
+    ]
     assert not perturbation_bound_check(np.diag([2.0, 1.0]), ORTHANT2, np.eye(2)).applicable
 
 
@@ -256,6 +313,21 @@ def test_normal_canonical_form_examples():
         normal_canonical_form([[1.0, 1.0], [0.0, 1.0]])
 
 
+def test_normal_canonical_form_raises_on_each_broken_contract(monkeypatch):
+    e1, e2 = np.eye(2)
+    facts = MatrixFacts(np.diag([2.0, 1.0]))
+    facts.eigs = [(1.0 + 1.0j, e1), (2.0, e2)]  # a complex eigenvalue without its conjugate
+    with pytest.raises(ConvergenceFailure, match="conjugate eigenvalues do not pair up"):
+        normal_canonical_form(facts)
+    facts = MatrixFacts(np.diag([2.0, 1.0]))
+    facts.eigs = [(2.0, e2), (1.0, e1)]  # each eigenvalue with the other's vector
+    with pytest.raises(ConvergenceFailure, match="canonical form residual exceeds contract"):
+        normal_canonical_form(facts)
+    monkeypatch.setattr(np.linalg, "qr", lambda m: (2.0 * np.eye(len(m)), np.eye(len(m))))
+    with pytest.raises(ConvergenceFailure, match="canonical basis lost orthogonality"):
+        normal_canonical_form(np.diag([2.0, 1.0]))
+
+
 def test_normal_canonical_form_invariants():
     rng = np.random.default_rng(22)
     for k in range(15):
@@ -327,6 +399,7 @@ def test_normal_canonical_form_on_repeated_spectra(family, seed):
 def test_theorem4_classify_examples():
     rep = theorem4_classify([[0.0, -1.0], [1.0, 0.0]], ORTHANT2)
     assert rep.holds and "interior-subspace" in rep.details
+    assert "mixed_block_sizes=False" in rep.details  # one 2-plane, no real eigenvalue
 
     a4 = np.zeros((4, 4))
     a4[:2, :2] = rotation_block(1.0, np.pi / 4)
@@ -339,6 +412,11 @@ def test_theorem4_classify_examples():
 
     rep = theorem4_classify(np.diag([2.0, 1.0]), ORTHANT2)
     assert rep.holds and "boundary-only" in rep.details
+    assert "mixed_block_sizes=False" in rep.details  # real eigenvalues, no 2-plane
+    a3 = np.zeros((3, 3))
+    a3[:2, :2] = rotation_block(1.0, np.pi / 4)
+    a3[2, 2] = 2.0
+    assert "mixed_block_sizes=True" in theorem4_classify(a3, Cone.orthant(3)).details
 
     with pytest.raises(NotNormal):
         theorem4_classify([[1.0, 1.0], [0.0, 1.0]], ORTHANT2)

@@ -61,6 +61,9 @@ def test_contains_zero_vector_and_mismatch():
     assert not contains(c, [0.0, 0.0]).in_cone
     with pytest.raises(DimensionMismatch):
         contains(c, [1.0, 2.0, 3.0])
+    # A matrix is no vector, even one with as many entries as the cone has axes.
+    with pytest.raises(DimensionMismatch):
+        contains(Cone.orthant(4), np.eye(2))
 
 
 def test_contains_rotation_consistency():
@@ -111,6 +114,13 @@ def test_cone_metric_quotients_representatives():
     assert cone_metric(Cone.rotated(u), Cone.rotated(u @ perm)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cone_metric_and_random_orthogonal_reject_bad_sizes():
+    with pytest.raises(DimensionMismatch):
+        cone_metric(Cone.orthant(2), Cone.orthant(3))
+    with pytest.raises(DimensionMismatch):
+        random_orthogonal(0, 1)
+
+
 def test_cone_metric_large_n_warns():
     import warnings
 
@@ -119,7 +129,8 @@ def test_cone_metric_large_n_warns():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         d = cone_metric(a, b)
-    assert len(rec) == 1 and d >= 0.0
+    # The stored representatives, with no minimum over permutations.
+    assert len(rec) == 1 and d == np.linalg.norm(np.eye(9) - b.basis.T @ a.basis, 2)
 
 
 def test_random_orthogonal_contracts():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,56 @@ def test_examples_against_frozen_oracle_values():
     assert sol.eps_star == pytest.approx(0.0, abs=1e-12)
     assert sol.x_star.sum() == pytest.approx(1.0, abs=1e-10)
     assert (sol.x_star >= -1e-12).all()
+
+
+def test_tableau_template_is_read_only():
+    # Every solve copies the cached template; no solve may write into it.
+    from quasieig.lp import _template
+
+    for part in _template(3, 2):
+        with pytest.raises(ValueError):
+            part[(0,) * part.ndim] = 7
+
+
+_PATHOLOGY_G = np.array([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.2], [0.3, -0.4, -1.0]])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("_PIVOT_TOL", math.inf, "unbounded pivot direction in max-eps LP"),
+    ("_REDCOST_TOL", -math.inf, "max-eps LP exceeded its pivot budget"),
+    ("_TIE_DAMAGE_TOL", 1e9, "max-eps LP lost primal feasibility"),
+])
+def test_each_pivoting_pathology_raises(monkeypatch, name, value, message):
+    # No finite G reaches these on its own; a broken tolerance does: no
+    # pivot row passes, every column stays eligible, or a ratio-test tie
+    # admits every row.
+    import quasieig.lp as lp_module
+
+    monkeypatch.setattr(lp_module, name, value)
+    with pytest.raises(NumericalBreakdown, match=message):
+        solve_max_eps(_PATHOLOGY_G)
+
+
+def test_reduced_costs_rederived_at_the_end_resume_the_pivots(monkeypatch):
+    # The incremental reduced costs may drift and hide an eligible column;
+    # the re-derived ones then resume pivoting.  The first optimality test
+    # here is blind, and the solve must still end where it does unblinded.
+    import quasieig.lp as lp_module
+
+    class FirstTestBlind(float):
+        tests = 0
+
+        def __neg__(self):
+            FirstTestBlind.tests += 1
+            return -math.inf if FirstTestBlind.tests == 1 else -float(self)
+
+    right = solve_max_eps(_PATHOLOGY_G)
+    assert right.pivots > 0
+    monkeypatch.setattr(lp_module, "_REDCOST_TOL", FirstTestBlind(lp_module._REDCOST_TOL))
+    sol = solve_max_eps(_PATHOLOGY_G)
+    assert FirstTestBlind.tests > 2
+    assert (sol.eps_star, sol.pivots) == (right.eps_star, right.pivots)
+    assert np.array_equal(sol.x_star, right.x_star) and np.array_equal(sol.y_star, right.y_star)
 
 
 def test_accepts_problem_wrapper():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from quasieig import (
+    ConvergenceFailure,
+    DimensionMismatch,
     NonFinite,
     NonSquare,
     as_matrix,
@@ -17,12 +19,20 @@ from helpers import random_matrix
 
 
 def test_as_matrix_rejects_bad_input():
-    with pytest.raises(NonSquare):
-        as_matrix([[1.0, 2.0]])
+    for bad in ([[1.0, 2.0]], np.zeros((0, 0)), [1.0]):
+        with pytest.raises(NonSquare):
+            as_matrix(bad)
     with pytest.raises(NonFinite):
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFinite):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_as_vector_takes_only_one_dimensional_input():
+    assert np.array_equal(as_vector([1, 2]), [1.0, 2.0])
+    for bad in (1.0, [[1.0, 2.0]], np.eye(2)):
+        with pytest.raises(DimensionMismatch):
+            as_vector(bad)
 
 
 def test_integers_too_large_for_a_float_are_non_finite():
@@ -107,6 +117,19 @@ def test_eig_oracle_residual_contract():
         nrm = operator_norm(m)
         for lam, phi in eig_oracle(m):
             assert np.linalg.norm(m @ phi - lam * phi) <= 1e-8 * nrm * np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("error, raises", [(1e-9, False), (1e-6, True)])
+def test_eig_oracle_enforces_its_residual_contract(monkeypatch, error, raises):
+    # Shift every eigenvector of diag(2, 1) by ``error``: pair 0 then has
+    # residual ``error`` against the contract's 1e-8 ||M|| ||phi|| = 2e-8.
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (eig(m)[0], eig(m)[1] + error))
+    if raises:
+        with pytest.raises(ConvergenceFailure, match="eigenpair 0 residual 1.000e-06"):
+            eig_oracle(np.diag([2.0, 1.0]))
+    else:
+        assert len(eig_oracle(np.diag([2.0, 1.0]))) == 2
 
 
 def test_symmetric_part_eigs_examples():

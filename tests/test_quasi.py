@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from quasieig import (
     Cone,
+    DimensionMismatch,
+    NonFinite,
     NotInCone,
     NumericalBreakdown,
     UnsupportedDimension,
@@ -64,6 +67,61 @@ def test_inner_ops_require_cone_membership():
         inner_inf(EX1, ORTHANT2, [-1.0, 1.0])
     with pytest.raises(NotInCone):
         inner_sup(EX1, ORTHANT2, [1.0, -1.0])
+    # Inside the cone's tolerance, yet zero to the closed form.
+    with pytest.raises(NotInCone, match="u is numerically zero"):
+        inner_inf(np.eye(3), Cone.orthant(3), [1e-13] * 3)
+
+
+def test_inner_ops_and_the_pair_validate_their_input():
+    with pytest.raises(NonFinite):
+        inner_inf(EX1, ORTHANT2, [np.nan, 1.0])
+    # Four entries, but no vector: the cone's size is no test of shape.
+    with pytest.raises(DimensionMismatch):
+        inner_inf(np.eye(4), Cone.orthant(4), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        inner_sup(EX1, Cone.orthant(3), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        quasi_pair(EX1, Cone.orthant(3))
+
+
+@pytest.mark.parametrize("case", ["u boundary", "v boundary", "values apart"])
+def test_is_saddle_needs_both_vectors_interior_and_one_value(monkeypatch, case):
+    # ISC's values coincide with both vectors interior; EX1's values are 2
+    # and 1.  Interiority is read off quasi_pair's two membership reports,
+    # u's then v's, which are stubbed here.
+    import quasieig.quasi as quasi_module
+
+    assert quasi_pair(ISC, ORTHANT2).is_saddle
+    interior = [case != "u boundary", case != "v boundary"]
+
+    def stubbed(cone, x, tol):
+        return dataclasses.replace(contains(cone, x, tol), in_interior=interior.pop(0))
+
+    monkeypatch.setattr(quasi_module, "contains", stubbed)
+    r = quasi_pair(EX1 if case == "values apart" else ISC, ORTHANT2)
+    assert (r.u_interior, r.v_interior) == (case != "u boundary", case != "v boundary")
+    assert not r.is_saddle
+
+
+def test_returned_vectors_are_normalized():
+    # u_right sums to 1 in the cone's axes; v_left has unit Euclidean norm.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        a, cone = random_matrix(rng, n), random_cone(rng, n)
+        r = quasi_pair(a, cone)
+        assert cone.to_local(r.u_right).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(r.v_left) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_most_interior_falls_back_unless_its_vector_passes_and_reaches_the_floor():
+    from quasieig.quasi import _most_interior
+
+    fallback = np.array([0.5, 0.5])
+    t = math.sqrt(6.0) - 1e-6
+    assert _most_interior(ISC, t, t, fallback) is not fallback
+    assert _most_interior(ISC, t, math.sqrt(6.0) + 1e-3, fallback) is fallback
+    assert _most_interior(ISC, math.sqrt(6.0) + 1e-3, -math.inf, fallback) is fallback
 
 
 def test_upper_example1():
@@ -618,19 +676,25 @@ def test_values_and_certificates_are_positively_homogeneous(case):
         assert abs(cert[1] - cert0[1]) <= tau, (k, cert, cert0)
 
 
-@pytest.mark.parametrize("bracket", [(-1e-3, 0.0), (2.5, 3.0)])
-def test_bracket_that_misses_the_value_breaks_down(monkeypatch, bracket):
+@pytest.mark.parametrize("a, bracket", [
+    (ISC, (-1e-3, 0.0)),
+    (ISC, (2.5, 3.0)),
+    (np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 2.0], [-1.0, 0.0, -2.0]]), (-1.0, 0.5)),
+], ids=["bracket0", "bracket1", "between_the_values"])
+def test_bracket_that_misses_the_value_breaks_down(monkeypatch, a, bracket):
     # The search trusts its starting bracket (the padded symmetric-part
     # eigenvalues): each end is tested once, and an end whose test
-    # disagrees (upper end below the value sqrt(6), or lower end above it)
-    # is an error that names the bracket, never a value.  The wrong
-    # eigenvalues go in where the search derives its bracket.
+    # disagrees (upper end below the value, or lower end above it) is an
+    # error that names the bracket, never a value.  ISC's two values are
+    # sqrt(6); the irreducible 3x3 matrix has upper 1 and lower -2, so its
+    # bracket holds neither and only each side's upper end disagrees.  The
+    # wrong eigenvalues go in where the search derives its bracket.
     import quasieig.quasi as quasi_module
 
-    pad = 1e-6 * max(1.0, operator_norm(ISC))
+    pad = 1e-6 * max(1.0, operator_norm(a))
     monkeypatch.setattr(quasi_module, "symmetric_part_eigs", lambda m: np.array(bracket))
     with pytest.raises(NumericalBreakdown) as exc:
-        quasi_pair(ISC, ORTHANT2)
+        quasi_pair(a, Cone.orthant(a.shape[0]))
     assert f"bracket [{bracket[0] - pad:.17g}, {bracket[1] + pad:.17g}]" in str(exc.value)
 
 
@@ -1061,12 +1125,19 @@ def test_lower_value_of_a_split_input_is_its_sink_block_value():
     assert inner_sup(a, cone, r.v_left) <= r.lambda_lower + 2.0 * tau
 
 
-def test_undecided_value_takes_the_block_bound_past_a_wrong_search():
+def test_undecided_value_takes_the_block_bound_past_a_wrong_search(monkeypatch):
     # A coupling of mixed sign decides neither value, so the whole matrix is
-    # searched too.  Here that search returns 0.12685 for the lower value,
-    # and its own vector certifies no more than -0.35767, while the sink
-    # block's lower vector proves lower <= -0.45144 = min(l1, l2), the
-    # value by rule 2.  The block bound wins.
+    # searched too.  That search finds the right lower value -0.45144; here
+    # it is made to return 0.12685 instead, above the bound the sink block's
+    # lower vector proves: lower <= -0.45144 = min(l1, l2), the value by
+    # rule 2.  The block bound wins over the wrong search.
+    import quasieig.quasi as quasi_module
+
+    def wrong(b, tol, scale):
+        upper, (lower, z) = search(b, tol, scale)
+        return upper, (0.12685 if b.shape[0] == 5 else lower, z)
+
+    search = quasi_module._search
     a = np.array([
         [-0.11599219, 0.46020014, -0.69823866, 0.53449183, 0.72994399],
         [0.09306362, 0.0576488, -0.63637047, 0.11607049, 0.28832873],
@@ -1076,19 +1147,53 @@ def test_undecided_value_takes_the_block_bound_past_a_wrong_search():
     ])
     sink = quasi_pair(a[2:, 2:], Cone.orthant(3)).lambda_lower
     assert sink == pytest.approx(-0.45144, abs=1e-5)
+    monkeypatch.setattr(quasi_module, "_search", wrong)
+    searched = record_calls(monkeypatch, quasi_module, "_search")
     r = quasi_pair(a, Cone.orthant(5))
+    assert [b.shape[0] for b, *_ in searched] == [2, 3, 5]  # both blocks, then the whole
     assert abs(r.lambda_lower - sink) <= 2.0 * r.tol * max(1.0, np.linalg.norm(a, 2))
 
 
-@pytest.mark.parametrize("reflect", [False, True])
-def test_a_zero_row_of_the_coupling_leaves_the_value_undecided(reflect):
+@pytest.mark.parametrize(
+    "reflect, head", [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-behind_a_source", "True-behind_a_source"],
+)
+def test_a_zero_row_of_the_coupling_leaves_the_value_undecided(reflect, head):
     # B12 = [0, 1]^T >= 0 has a zero row, so rule 4 does not apply: z = e_1
     # has B^T z = (0, -1, 0) and proves lower <= 0, below the sink block's
     # value 1, and rule 2 gives lower >= min(0, 1).  Under -A^T the zero
     # row is a zero column of a coupling <= 0, and rule 6 does not apply.
+    # Behind a source block [5] with a positive coupling, rule 4 gives the
+    # lower value as this tail's, still undecided.
     a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    r = quasi_pair(-a.T if reflect else a, Cone.orthant(3))
+    if head:
+        a = np.block([[np.full((1, 1), 5.0), np.ones((1, 3))], [np.zeros((3, 1)), a]])
+    r = quasi_pair(-a.T if reflect else a, Cone.orthant(a.shape[0]))
     assert abs(-r.lambda_upper if reflect else r.lambda_lower) <= r.tol
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_a_decided_value_stands_past_a_better_looking_search(monkeypatch, reflect):
+    # In the matrix above, rule 3 decides the upper value and the lower one
+    # is left to a search on the whole matrix.  That search is made to
+    # return an upper value 1 too high as well, which beats the decided
+    # value; the decided value stands.  Under -A^T the roles swap.
+    import quasieig.quasi as quasi_module
+
+    a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    a = -a.T if reflect else a
+    right = quasi_pair(a, Cone.orthant(3))
+
+    def wrong(b, tol, scale):
+        (up, w), (lo, z) = search(b, tol, scale)
+        if b.shape[0] == 3:
+            up, lo = (up, lo - 1.0) if reflect else (up + 1.0, lo)
+        return (up, w), (lo, z)
+
+    search = quasi_module._search
+    monkeypatch.setattr(quasi_module, "_search", wrong)
+    r = quasi_pair(a, Cone.orthant(3))
+    assert (r.lambda_upper, r.lambda_lower) == (right.lambda_upper, right.lambda_lower)
 
 
 def _jordan_cases():
