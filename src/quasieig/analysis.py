@@ -413,10 +413,14 @@ def theorem4_classify(a, cone: Cone, tol: float = 1e-9) -> TheoremReport:
     where no subspace meets it.  Elsewhere a rotation 2-plane can cut the
     open cone with neither of its axes inside, or no subspace meets it at
     all, and the true values can fall strictly between the eigenvalue
-    real parts: the report is then not applicable.
+    real parts: the report is then not applicable, as it is when the
+    canonical form fails its contract (``NotNormal`` still raises).
     """
     facts = _facts(a)
-    form = facts.form
+    try:
+        form = facts.form
+    except ConvergenceFailure as err:  # classify's normality test passed, the form's contract not
+        return _not_applicable("normal_cone_classification", str(err))
     n = facts.a.shape[0]
     if cone.n != n:
         raise DimensionMismatch("matrix and cone dimensions differ")

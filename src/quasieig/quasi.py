@@ -82,7 +82,7 @@ import numpy as np
 from .cones import Cone, contains
 from .errors import DimensionMismatch, NotInCone, NumericalBreakdown, UnsupportedDimension
 from .lp import solve_max_eps
-from .matcore import _strong_components, as_matrix, as_vector, operator_norm, symmetric_part_eigs
+from .matcore import _strong_components, as_matrix, operator_norm, symmetric_part_eigs
 
 #: Local coordinates at or below this are treated as zero by the inner
 #: closed forms; prevents catastrophic ratios at numerically-zero support.
@@ -131,11 +131,9 @@ def _local_problem(a: np.ndarray, cone: Cone):
     return cone.basis.T @ a @ cone.basis
 
 
-def _require_in_cone(cone: Cone, x, what: str) -> np.ndarray:
-    x = as_vector(x)
+def _require_in_cone(cone: Cone, x, what: str) -> None:
     if not contains(cone, x, tol=1e-9).in_cone:
         raise NotInCone(f"{what} is not in the cone")
-    return x
 
 
 def _closed_inf(b: np.ndarray, w: np.ndarray, what: str) -> float:
@@ -157,7 +155,7 @@ def _closed_inf(b: np.ndarray, w: np.ndarray, what: str) -> float:
 def inner_inf(a, cone: Cone, u) -> float:
     """``inf over interior v`` of the quotient at fixed cone vector ``u``,
     in closed form on ``w = U^T u`` and ``B = U^T A U``."""
-    u = _require_in_cone(cone, u, "u")
+    _require_in_cone(cone, u, "u")
     return _closed_inf(_local_problem(as_matrix(a), cone), cone.to_local(u), "u")
 
 
@@ -166,7 +164,7 @@ def inner_sup(a, cone: Cone, v) -> float:
     by reflection: ``-inner_inf`` of ``-A^T`` at ``v``.  ``+inf`` when a
     zero coordinate of ``z = U^T v`` meets a positive coordinate of
     ``B^T z``."""
-    v = _require_in_cone(cone, v, "v")
+    _require_in_cone(cone, v, "v")
     return 0.0 - _closed_inf(-_local_problem(as_matrix(a), cone).T, cone.to_local(v), "v")
 
 
@@ -456,8 +454,9 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     can accept a ``t`` up to ``slack^(1/k)`` above the upper value,
     ``slack = 256 eps``; the returned vector still certifies the true value.
 
-    Interiority uses margin ``10 * tol`` to separate genuine interior
-    vectors from boundary-within-noise ones.  The saddle reading allows
+    A vector is interior when its smallest coordinate in the cone's axes,
+    read on the simplex ``w = U^T u_right`` and the unit ``z = U^T v_left``
+    the search returns, exceeds ``10 * tol``.  The saddle reading allows
     the two values ``2 * tol * max(1, ||A||)`` apart, since the
     feasibility slack, and with it each bracket, grows with ``||A||``.
     """
@@ -477,11 +476,9 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     if b.shape[0] > 1:  # a 1x1 B's simplex is the single point [1]
         w = _most_interior(b, lam_up - close, lam_up - tol * scale, w)
         z = _most_interior(-b.T, -lam_lo - close, -lam_lo - tol * scale, z)
-    u = cone.from_local(w)
-    v = cone.from_local(z)
-    v = v / math.sqrt(v @ v)
-    u_int = contains(cone, u, tol=10.0 * tol).in_interior
-    v_int = contains(cone, v, tol=10.0 * tol).in_interior
+    z = z / math.sqrt(z @ z)  # a unit vector in the cone's axes, as U z is in A's
+    u, v = cone.from_local(w), cone.from_local(z)
+    u_int, v_int = bool(w.min() > 10.0 * tol), bool(z.min() > 10.0 * tol)  # U^T u = w, U^T v = z
     saddle = u_int and v_int and abs(lam_up - lam_lo) <= 2.0 * tol * scale
     # Residuals on A / 2^e, max|A| / 2^e in [1/2, 1): exact, and no overflow.
     e = math.frexp(float(np.maximum.reduce(np.abs(a), axis=None)))[1]

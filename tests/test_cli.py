@@ -245,15 +245,20 @@ def test_normal_and_verify_run_on_a_repeated_eigenvalue(tmp_path, cone_spec):
     assert code == 0 and "error" not in rep, rep
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "classify's 1e-10 commutator test reads the matrix as normal, but it departs from "
-    "normality by about 1e-6, far outside the canonical form's 1e-8 ||A|| residual contract"
-))
 def test_verify_runs_on_a_matrix_that_classify_reads_as_normal(tmp_path):
+    # classify's 1e-10 commutator test reads the matrix as normal, but it departs
+    # from normality by about 1e-6, far outside the canonical form's 1e-8 ||A||
+    # residual contract: verify reads the classification as not applicable, and
+    # normal, which prints the form itself, stops on the error.
     p = tmp_path / "near_normal.json"
     p.write_text('{"n": 3, "rows": [[2e-6, 2e-6, 0], [0, 0, 0], [0, 0, 1]]}')
     code, rep = run(RunConfig(subcommand="verify", matrix_path=str(p)))
-    assert (code, rep.get("error")) != (3, "canonical form residual exceeds contract")
+    assert code == 0 and "error" not in rep, rep
+    report = {r["name"]: r for r in rep["theorem_reports"]}["normal_cone_classification"]
+    assert not report["applicable"]
+    assert report["details"] == "not applicable: canonical form residual exceeds contract"
+    code, rep = run(RunConfig(subcommand="normal", matrix_path=str(p)))
+    assert (code, rep["error"]) == (3, "canonical form residual exceeds contract")
 
 
 def test_perturb_subcommand(tmp_path, ex1):
