@@ -38,6 +38,11 @@ Implementation notes:
   successful return is optimal; pivoting pathologies raise
   ``NumericalBreakdown`` instead of returning a bogus certificate.
   Each solution reports its ``pivots`` and final ``basis``.
+* Each pivot is chosen on Python floats, from one ``tolist()`` each of
+  the reduced costs, the entering column and the rhs, with a list copy
+  of the basis: on these few entries a scan costs less than the dozen
+  numpy calls it replaces, and IEEE comparisons and divisions give the
+  same bits.  The rank-one update and the re-derivations stay in numpy.
 """
 
 import math
@@ -47,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NonFinite, NumericalBreakdown
+from .errors import DimensionMismatch, NonFinite, NumericalBreakdown
 
 _REDCOST_TOL = 1e-11
 _PIVOT_TOL = 1e-11
@@ -105,9 +110,12 @@ def solve_max_eps(problem) -> LpSolution:
     Guarantees on return: ``x_star >= -1e-12`` componentwise,
     ``|sum(x_star) - 1| <= 1e-10``, and ``min(G @ x_star) >= eps_star - 1e-9``.
     ``y_star`` is read off the final reduced costs of the slack columns
-    (the row duals); no extra solve runs.
+    (the row duals); no extra solve runs.  A G that is empty or has more
+    than two axes raises ``DimensionMismatch``; a vector is one row.
     """
     g = np.atleast_2d(np.asarray(problem, dtype=float))
+    if g.ndim != 2 or not g.size:
+        raise DimensionMismatch(f"G must be a nonempty matrix, got shape {np.shape(problem)}")
     scale = float(np.maximum.reduce(np.abs(g), axis=None)) or 1.0
     if not scale < math.inf:  # NaN fails this too
         raise NonFinite("constraint matrix must be finite")
@@ -132,33 +140,39 @@ def solve_max_eps(problem) -> LpSolution:
     # np.linalg.solve's gufunc, unchecked: the starting basis is nonsingular.
     body[...] = _umath_linalg.solve(body[:, basis], body)
     reduced[...] = cost - cost[basis] @ body[:, :nvar]
+    heads = basis.tolist()  # the basis again, as Python ints for the pivot choice
 
     budget = 200 + 50 * (nvar + nrow)
     pivots = 0
     for _ in range(budget):
-        eligible = reduced < -_REDCOST_TOL
-        enter = int(eligible.argmax())  # Bland: lowest eligible index
-        if not eligible[enter]:
+        neg_tol = -_REDCOST_TOL
+        for enter, r in enumerate(reduced.tolist()):
+            if r < neg_tol:  # Bland: the lowest eligible index
+                break
+        else:
             # The incremental updates can drift; re-derive before accepting.
             reduced[...] = cost - cost[basis] @ body[:, :nvar]
             if not (reduced < -_REDCOST_TOL).any():
                 break
             continue
 
-        col = tableau[:, enter]
-        rows = (col[:nrow] > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        # Each pivot row's ratio, and the tie group's bound min(ratio + tol / c).
+        ratios, bound, col = {}, math.inf, tableau[:nrow, enter].tolist()
+        for i, (c, r) in enumerate(zip(col, rhs.tolist())):
+            if c > _PIVOT_TOL:
+                ratio = ratios[i] = (r if r > 0.0 else 0.0) / c
+                if ratio + _TIE_DAMAGE_TOL / c < bound:
+                    bound = ratio + _TIE_DAMAGE_TOL / c
+        if not ratios:
             raise NumericalBreakdown("unbounded pivot direction in max-eps LP")
-        c = col[rows]
-        ratios = np.maximum(rhs[rows], 0.0) / c
-        near = rows[ratios <= np.minimum.reduce(ratios + _TIE_DAMAGE_TOL / c)]
+        near = [i for i, ratio in ratios.items() if ratio <= bound]
         # Bland tie-break: the lowest basic variable among the tied rows.
-        leave_row = int(near[basis[near].argmin()] if near.size > 1 else near[0])
+        leave_row = min(near, key=heads.__getitem__) if len(near) > 1 else near[0]
 
-        piv_row = tableau[leave_row] / tableau[leave_row, enter]
-        tableau -= col[:, None] * piv_row
+        piv_row = tableau[leave_row] / col[leave_row]
+        tableau -= tableau[:, enter, None] * piv_row
         tableau[leave_row] = piv_row
-        basis[leave_row] = enter
+        basis[leave_row] = heads[leave_row] = enter
         pivots += 1
     else:
         raise NumericalBreakdown("max-eps LP exceeded its pivot budget")

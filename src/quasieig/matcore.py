@@ -75,7 +75,11 @@ class ClassificationReport:
 
 def operator_norm(m) -> float:
     """Spectral norm (largest singular value)."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
+    return _operator_norm(as_matrix(m))
+
+
+def _operator_norm(m: np.ndarray) -> float:  # on a validated m
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _strong_components(m: np.ndarray) -> list[np.ndarray]:
@@ -160,6 +164,9 @@ def eig_oracle(m) -> list[tuple[complex, np.ndarray]]:
 
 def symmetric_part_eigs(m) -> np.ndarray:
     """Eigenvalues of ``(m + m^T) / 2`` in ascending order."""
-    m = as_matrix(m)
+    return _symmetric_part_eigs(as_matrix(m))
+
+
+def _symmetric_part_eigs(m: np.ndarray) -> np.ndarray:  # on a validated m
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 

@@ -82,7 +82,7 @@ import numpy as np
 from .cones import Cone, contains
 from .errors import DimensionMismatch, NotInCone, NumericalBreakdown, UnsupportedDimension
 from .lp import solve_max_eps
-from .matcore import _strong_components, as_matrix, operator_norm, symmetric_part_eigs
+from .matcore import _operator_norm, _strong_components, _symmetric_part_eigs, as_matrix
 
 #: Local coordinates at or below this are treated as zero by the inner
 #: closed forms; prevents catastrophic ratios at numerically-zero support.
@@ -352,7 +352,7 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
     # Factor 2 is the slack bound; a factor up to 8 leaves every bracket
     # at tol / 2 for ||A|| <= 1e3, a larger one coarsens large-scale values.
     close = max(0.5 * tol, 2.0 * _FEAS_TOL * scale)
-    sym, pad = symmetric_part_eigs(b), 1e-6 * scale
+    sym, pad = _symmetric_part_eigs(b), 1e-6 * scale
     lo0, hi0 = float(sym[0]) - pad, float(sym[-1]) + pad
     brackets = {1: [lo0, hi0], -1: [-hi0, -lo0]}
     memo = {}
@@ -464,7 +464,7 @@ def quasi_pair(a, cone: Cone, tol: float = 1e-9) -> QuasiEigenResult:
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     b = _local_problem(a, cone)
-    scale = max(1.0, operator_norm(a))
+    scale = max(1.0, _operator_norm(a))
     parts = _split(b, _strong_components(b), tol, scale)
     if not all(exact for *_, exact in parts.values()):
         # A search decides each undecided side, unless its block bound is better.

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from quasieig import Cone, DimensionMismatch, NonFinite, ParseError, perturbation_bound_check
+from quasieig import (
+    Cone, DimensionMismatch, NonFinite, ParseError, TheoremReport, perturbation_bound_check,
+)
 from quasieig import cli
 from quasieig.cli import RunConfig, emit_json, emit_matrix, main, parse_matrix_file, run
 from helpers import record_calls
@@ -374,6 +376,20 @@ def test_human_verify_report_prints_one_line_per_theorem_report(tmp_path, capsys
     names = [r["name"] for r in rep["theorem_reports"]]
     assert [line.split("] ")[1].split(":")[0] for line in status] == names
     assert lines[-1] == "exit 0"
+
+
+def test_one_failing_report_exits_3_and_each_status_prints(ex1, monkeypatch, capsys):
+    # Any applicable report that fails makes the exit 3, whatever the others
+    # read; the human report marks each line with its own status.
+    reps = [TheoremReport("a", True, 0.0, 0.0, 0.0, "ok"),
+            TheoremReport("b", False, 1.0, 0.0, -1.0, "broken"),
+            TheoremReport("c", False, 0.0, 0.0, 0.0, "skipped", applicable=False)]
+    monkeypatch.setitem(cli._COMMANDS, "classify", (lambda config, m, cone, report: reps, ()))
+    assert main(["classify", "--matrix", ex1]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[")] == [
+        "[HOLDS] a: slack=0 ok", "[FAILS] b: slack=-1 broken", "[N/A] c: slack=0 skipped"]
+    assert lines[-1] == "exit 3"
 
 
 def test_negative_seed_exits_1(ex1, capsys):

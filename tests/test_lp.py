@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from quasieig import (
     Cone,
+    DimensionMismatch,
     LpSolution,
     NonFinite,
     NumericalBreakdown,
@@ -124,6 +126,18 @@ def test_accepts_problem_wrapper():
     sol = solve_max_eps(np.eye(2))
     assert isinstance(sol, LpSolution)
     assert sol.eps_star == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("g", [np.zeros((0, 3)), np.zeros((3, 0)), [], [[]], np.zeros((2, 2, 2))],
+                         ids=["no-rows", "no-columns", "empty-list", "empty-row", "3-d"])
+def test_rejects_an_empty_or_not_two_dimensional_g(g):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {np.shape(g)}")):
+        solve_max_eps(g)
+
+
+def test_a_vector_is_one_row():
+    sol = solve_max_eps([1.0, 2.0])
+    assert sol.eps_star == 2.0 and sol.x_star.tolist() == [0.0, 1.0] and sol.y_star.tolist() == [1.0]
 
 
 def test_rejects_nonfinite():
@@ -292,6 +306,65 @@ def test_kernel_matches_frozen_reference_bit_for_bit():
         assert np.array_equal(sol.x_star, x), i
         assert np.array_equal(sol.y_star, y), i
         assert sol.x_star.tobytes() == x.tobytes() and sol.y_star.tobytes() == y.tobytes(), i
+
+
+def _assert_reference_bits(gs):
+    from lp_reference import solve_max_eps_reference
+
+    for i, g in enumerate(gs):
+        sol = solve_max_eps(g)
+        eps, x, y = solve_max_eps_reference(g)
+        assert np.array_equal(sol.eps_star, eps), i
+        assert sol.x_star.tobytes() == x.tobytes() and sol.y_star.tobytes() == y.tobytes(), i
+
+
+def _tie_break_inputs():
+    """200 seeded G = B - t I with the entries of B and t in {-1, 0, 1},
+    n = 3..9: degenerate vertices whose ratio tests tie several rows."""
+    rng = np.random.default_rng(31)
+    out = []
+    for _ in range(200):
+        n = int(rng.integers(3, 10))
+        out.append(rng.choice([-1.0, 0.0, 1.0], (n, n)) - float(rng.integers(-1, 2)) * np.eye(n))
+    return out
+
+
+def test_kernel_matches_the_reference_where_bland_breaks_ties(monkeypatch):
+    # Bland's tie-break decides a pivot only when it leaves by a tied row
+    # other than the first; the reference kernel counts those pivots, so the
+    # corpus cannot lose them unnoticed while the kernel is judged on it.
+    import lp_reference
+
+    away = []
+
+    def bland_min(rows, key):
+        chosen = min(rows, key=key)
+        away.append(chosen != rows[0])
+        return chosen
+
+    monkeypatch.setattr(lp_reference, "min", bland_min, raising=False)
+    _assert_reference_bits(_tie_break_inputs())
+    assert sum(away) >= 30, sum(away)
+
+
+def test_kernel_matches_the_reference_where_drift_leaves_a_negative_rhs(monkeypatch):
+    # On sparse inputs the rank-one updates can leave a basic value a hair
+    # below zero; the ratio test reads its ratio as 0, as the reference does.
+    # Draw 612 of these sparse orthant inputs (n in [3, 12], density
+    # U[0.2, 0.6]) is one: one of the 39 LPs of its search is solved
+    # differently when that ratio is r / c.
+    import quasieig.quasi as quasi_module
+    from quasieig import Cone, quasi_pair
+
+    rng = np.random.default_rng(11)
+    for _ in range(613):
+        n = int(rng.integers(3, 13))
+        density = rng.uniform(0.2, 0.6)
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    lps = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    quasi_pair(a, Cone.orthant(n))
+    assert (n, len(lps)) == (7, 39)
+    _assert_reference_bits([g for g, in lps])
 
 
 def test_transposed_game_has_the_negated_value():

@@ -156,6 +156,25 @@ def test_quasi_pair_asks_no_membership_and_inner_inf_validates_its_vector_once(m
     assert len(validated) == 1
 
 
+@pytest.mark.parametrize("a", [ISC, np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
+                                              [1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 3.0]])],
+                         ids=["irreducible", "two-blocks"])
+def test_quasi_pair_validates_its_matrix_once(monkeypatch, a):
+    # The norm and every search's bracket are computed on arrays quasi_pair
+    # has already validated; each module's binding of as_matrix is counted.
+    import quasieig.cones as cones_module
+    import quasieig.matcore as matcore_module
+    import quasieig.quasi as quasi_module
+
+    cone = Cone.orthant(a.shape[0])
+    searches = record_calls(monkeypatch, quasi_module, "_search")
+    validated = [record_calls(monkeypatch, module, "as_matrix")
+                 for module in (quasi_module, matcore_module, cones_module)]
+    quasi_pair(a, cone)
+    assert len(searches) == a.shape[0] // 2
+    assert [len(calls) for calls in validated] == [1, 0, 0]
+
+
 def test_most_interior_falls_back_unless_its_vector_passes_and_reaches_the_floor():
     from quasieig.quasi import _most_interior
 
@@ -734,7 +753,7 @@ def test_bracket_that_misses_the_value_breaks_down(monkeypatch, a, bracket):
     import quasieig.quasi as quasi_module
 
     pad = 1e-6 * max(1.0, operator_norm(a))
-    monkeypatch.setattr(quasi_module, "symmetric_part_eigs", lambda m: np.array(bracket))
+    monkeypatch.setattr(quasi_module, "_symmetric_part_eigs", lambda m: np.array(bracket))
     with pytest.raises(NumericalBreakdown) as exc:
         quasi_pair(a, Cone.orthant(a.shape[0]))
     assert f"bracket [{bracket[0] - pad:.17g}, {bracket[1] + pad:.17g}]" in str(exc.value)

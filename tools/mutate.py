@@ -1,11 +1,13 @@
 """Mutation survey of the ``quasieig`` package.
 
-Two operators, applied one at a time to the six modules in ``MODULES``:
+Three operators, applied one at a time to the six modules in ``MODULES``:
 
 * ``pass``: a statement inside a function body (its docstring aside)
   becomes ``pass``;
 * ``drop and[i]`` / ``drop or[i]``: operand ``i`` of an ``and`` or ``or``
-  inside a function body is dropped.
+  inside a function body is dropped;
+* ``keep if`` / ``keep else``: a conditional expression ``a if c else b``
+  inside a function body becomes ``a``, or ``b``.
 
 Each mutant runs the tier-1 suite with ``pytest -x`` in a private copy of
 the tree, one copy per worker, its module's own test file first so that
@@ -18,7 +20,7 @@ Run from anywhere, with no options:
 
     python tools/mutate.py
 
-It uses only the standard library.  A full run takes about 20 minutes on
+It uses only the standard library.  A full run takes 20 to 40 minutes on
 2 vCPUs.  It is not a tier-1 or CI step.
 """
 
@@ -79,6 +81,10 @@ def mutants(source: bytes) -> list:
                     kept = [source[slice(*span(v))] for v in child.values if v is not dropped]
                     text = b"(" + f" {op} ".encode().join(b"(" + k + b")" for k in kept) + b")"
                     out.append((scope, dropped.lineno, f"drop {op}[{i}]", splice(child, text)))
+            if in_function and isinstance(child, ast.IfExp):
+                for kind, kept in (("keep if", child.body), ("keep else", child.orelse)):
+                    text = b"(" + source[slice(*span(kept))] + b")"
+                    out.append((scope, child.lineno, kind, splice(child, text)))
             inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, name, inside)
 
