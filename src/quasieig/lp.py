@@ -43,6 +43,12 @@ Implementation notes:
   of the basis: on these few entries a scan costs less than the dozen
   numpy calls it replaces, and IEEE comparisons and divisions give the
   same bits.  The rank-one update and the re-derivations stay in numpy.
+  The final optimality re-check reads ``min(reduced.tolist())``, and the
+  tear-down ``x`` and ``eps`` from one ``rhs.tolist()`` over that list.
+* The starting system goes straight to the LAPACK gufunc under
+  ``np.linalg.solve``.  Its basis is nonsingular and G finite (checked
+  first), so the wrapper's singular and non-finite errors cannot fire.
+  (``quasi._kernel_roots`` turns those into "no root" for its pencils.)
 """
 
 import math
@@ -152,7 +158,7 @@ def solve_max_eps(problem) -> LpSolution:
         else:
             # The incremental updates can drift; re-derive before accepting.
             reduced[...] = cost - cost[basis] @ body[:, :nvar]
-            if not (reduced < -_REDCOST_TOL).any():
+            if min(reduced.tolist()) >= -_REDCOST_TOL:
                 break
             continue
 
@@ -177,14 +183,13 @@ def solve_max_eps(problem) -> LpSolution:
     else:
         raise NumericalBreakdown("max-eps LP exceeded its pivot budget")
 
-    if np.minimum.reduce(rhs) < -1e-9:
+    value = dict(zip(heads, rhs.tolist()))  # each basic variable's; the others are 0
+    if min(value.values()) < -1e-9:
         raise NumericalBreakdown("max-eps LP lost primal feasibility")
 
-    full = np.zeros(nvar)
-    full[basis] = rhs
-    x = full[:k].copy()
-    x[(x < 0.0) & (x > -1e-12)] = 0.0
-    eps = float(full[k] - full[k + 1]) * scale
+    x = [value.get(j, 0.0) for j in range(k)]
+    x = np.array([0.0 if -1e-12 < v < 0.0 else v for v in x])
+    eps = (value.get(k, 0.0) - value.get(k + 1, 0.0)) * scale
     # A slack column is -e_i with cost 0, so its reduced cost is the dual
     # of row i; the eps+/eps- columns force these duals to sum to 1.
     # Optimality leaves them >= -_REDCOST_TOL; clip that noise.

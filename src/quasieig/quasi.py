@@ -78,6 +78,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cones import Cone, contains
 from .errors import DimensionMismatch, NotInCone, NumericalBreakdown, UnsupportedDimension
@@ -178,39 +179,60 @@ def _breakdown(what: str, lo: float, hi: float, tol: float, side: int) -> Numeri
     )
 
 
-def _shift(b: np.ndarray, t: float):
-    """``G = B - t I`` and the feasibility slack at ``t``."""
+def _shift(b: np.ndarray, t: float) -> np.ndarray:
+    """``G = B - t I``."""
     # b - t I without forming I.  Subtracting 0 * t everywhere, as t * I
     # does off the diagonal, gives zero entries the same signs, and C
     # order the same summation order in later products.
     g = np.subtract(b, 0.0 * t, order="C")
     g.reshape(-1)[:: b.shape[0] + 1] -= t
-    return g, _FEAS_TOL * max(1.0, float(np.maximum.reduce(np.abs(g), axis=None)))
+    return g
 
 
-def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: np.ndarray,
-            gty: np.ndarray):
+def _pure(b: np.ndarray, t: float, memo: dict) -> tuple:
+    """The column minima and row maxima of ``G = B - t I`` and the slack at
+    ``t``, as Python floats, read off ``B``'s diagonal and off-diagonal
+    extremes, which ``memo``, one search's dict, keeps under ``"pure"``."""
+    if "pure" not in memo:
+        eye = np.eye(b.shape[0], dtype=bool)
+        cols = np.minimum.reduce(np.where(eye, math.inf, b), axis=0).tolist()
+        rows = np.maximum.reduce(np.where(eye, -math.inf, b), axis=1).tolist()
+        memo["pure"] = b.diagonal().tolist(), cols, rows, max(max(rows), -min(cols))  # max|entry|
+    entries, cols, rows, big = memo["pure"]
+    diag = [d - t for d in entries]
+    slack = _FEAS_TOL * max(1.0, big, *map(abs, diag))
+    return [c if c < d else d for d, c in zip(diag, cols)], [r if r > d else d for d, r in zip(diag, rows)], slack
+
+
+def _ratio(t: float, slack: float, w: np.ndarray, gw: list):
+    """``t + min (G w)_i / w_i`` on ``w``'s support if ``min(gw) >= -slack``, ``gw = G w``; else None."""
+    if min(gw) < -slack:
+        return None
+    return t + min(v / c for v, c in zip(gw, w.tolist()) if c > SUPPORT_TOL)
+
+
+def _answer(t: float, slack: float, w: np.ndarray, y: np.ndarray, gw: list, gty: list):
     """The upper side's answer at ``t`` from a simplex point ``w`` and a
-    weight ``y >= 0`` on the rows of ``G = B - t I``, given ``gw = G w``
-    and ``gty = G^T y``.
+    weight ``y >= 0`` on the rows of ``G = B - t I``, given the lists
+    ``gw = G w`` and ``gty = G^T y``.
 
     Returns ``(w, bound)`` when the recomputed margin ``min(G w)`` is at
     least ``-slack``, with ``bound`` the ratio ``min (B w)_i / w_i`` over
-    the support, a lower bound on the value.  Otherwise ``(None, bound)``
-    with ``bound`` the dual cut ``t + (max(G^T y) + slack sum(y)) /
-    max(y)``, an upper bound on every ``s`` the test accepts: a simplex
-    ``w'`` with ``min((B - s I) w') >= -slack`` has ``-slack sum(y) <=
-    y^T (B - s I) w' <= max(G^T y) + (t - s) max(y)``.  Without the slack
-    term, rounding in ``G^T y`` could cut below accepted points once it
-    exceeds ``tol`` (large ``||A||``).  The lower side's answer is this
+    the support (``_ratio``), a lower bound on the value.  Otherwise
+    ``(None, bound)`` with ``bound`` the dual cut ``t + (max(G^T y) + slack
+    sum(y)) / max(y)``, an upper bound on every ``s`` the test accepts: a
+    simplex ``w'`` with ``min((B - s I) w') >= -slack`` has ``-slack sum(y)
+    <= y^T (B - s I) w' <= max(G^T y) + (t - s) max(y)``.  Without the
+    slack term, rounding in ``G^T y`` could cut below accepted points once
+    it exceeds ``tol`` (large ``||A||``).  The lower side's answer is this
     one on ``-G^T`` at ``-t`` with the roles of ``w`` and ``y`` swapped,
     so with ``gw = -G^T y`` and ``gty = -G w``.
     """
-    if np.minimum.reduce(gw) >= -slack:
-        sup = w > SUPPORT_TOL
-        return w, t + float(np.minimum.reduce(gw[sup] / w[sup]))
-    cut = float(np.maximum.reduce(gty)) + slack * float(np.add.reduce(y))
-    return None, t + cut / float(np.maximum.reduce(y))
+    bound = _ratio(t, slack, w, gw)
+    if bound is not None:
+        return w, bound
+    cut = max(gty) + slack * float(np.add.reduce(y))  # numpy's sum: Python's adds in another order
+    return None, t + cut / max(y.tolist())
 
 
 def _test(b: np.ndarray, t: float, memo: dict):
@@ -220,36 +242,36 @@ def _test(b: np.ndarray, t: float, memo: dict):
     Side ``+1`` asks whether ``G w >= 0`` has a simplex point ``w``, side
     ``-1`` whether ``G^T y <= 0`` has one, answered in its negated
     coordinates (see ``_answer``).  Pure strategies decide a side without
-    an LP: a column with ``min(G e_j) >= -slack`` makes the upper side
-    feasible, a row with ``max(G^T e_i) <= slack`` the lower side;
-    ``min(G e_j) > slack`` certifies the lower side infeasible and
-    ``max(G^T e_i) < -slack`` the upper side.  The LP runs only when a
-    side is still undecided, and its primal ``w`` and dual ``y`` answer
-    both tests: by LP duality ``(y, w)`` is an optimal pair of
-    ``solve_max_eps(-G^T)``.
+    an LP, on Python floats (``_pure``): a column with ``min(G e_j) >=
+    -slack`` makes the upper side feasible, a row with ``max(G^T e_i) <=
+    slack`` the lower side; ``min(G e_j) > slack`` certifies the lower side
+    infeasible and ``max(G^T e_i) < -slack`` the upper side.  ``G`` is
+    formed and the LP runs only when a side is still undecided, and its
+    primal ``w`` and dual ``y`` answer both tests: by LP duality ``(y, w)``
+    is an optimal pair of ``solve_max_eps(-G^T)``.
     """
-    g, slack = _shift(b, t)
-    cols, rows = np.minimum.reduce(g, axis=0), np.maximum.reduce(g, axis=1)
-    j, i = int(cols.argmax()), int(rows.argmin())
+    cols, rows, slack = _pure(b, t, memo)
+    j, i = cols.index(max(cols)), rows.index(min(rows))  # the first extremes, as argmax's and argmin's
     found = {}
     if cols[j] >= -slack:
-        found[1] = (np.eye(1, g.shape[1], j)[0], float(b[j, j]))
+        found[1] = (np.eye(1, b.shape[1], j)[0], float(b[j, j]))
     elif rows[i] < -slack:
-        found[1] = (None, t + (float(rows[i]) + slack))
+        found[1] = (None, t + (rows[i] + slack))
     if rows[i] <= slack:
-        found[-1] = (np.eye(1, g.shape[0], i)[0], -float(b[i, i]))
+        found[-1] = (np.eye(1, b.shape[0], i)[0], -float(b[i, i]))
     elif cols[j] > slack:
-        found[-1] = (None, -t + (slack - float(cols[j])))
+        found[-1] = (None, -t + (slack - cols[j]))
     if len(found) == 2:
         return found, None
+    g = _shift(b, t)
     sol = solve_max_eps(g)
-    # Negation is exact: -gty and -gx have the bits of (-G^T) y and (-G^T)^T x.
     x, y = sol.x_star, sol.y_star
-    gx, gty = g @ x, g.T @ y
+    gx, gty = (g @ x).tolist(), (g.T @ y).tolist()
     if 1 not in found:
         found[1] = _answer(t, slack, x, y, gx, gty)
     if -1 not in found:
-        found[-1] = _answer(-t, slack, y, x, -gty, -gx)
+        # Negation is exact: these are the bits of (-G^T) y and (-G^T)^T x.
+        found[-1] = _answer(-t, slack, y, x, [-v for v in gty], [-v for v in gx])
     return found, _kernel_roots(g, t, x, y, memo)
 
 
@@ -260,19 +282,26 @@ def _kernel_roots(g: np.ndarray, t: float, x: np.ndarray, y: np.ndarray, memo: d
     ``mu != 0`` of ``G_RS^-1 I_RS``.  While the kernel ``(R, S)`` stays
     optimal, the game's value at ``t + s`` is ``1 / (1^T (G_RS - s I_RS)^-1
     1)`` (Shapley and Snow 1950).  The roots do not depend on ``t``: ``memo``,
-    one search's dict, keeps them by ``(y > 0, x > 0)`` as bytes, unless
-    ``G_RS`` is singular at ``t``, as it need not be at the next."""
+    one search's dict, keeps them by ``(y > 0, x > 0)`` as bytes.  The pencil
+    goes to the LAPACK gufuncs under ``np.linalg.solve`` and ``eigvals``.
+    Where their wrappers would raise (``G_RS`` singular, or a solve that
+    overflows) there is no root, no warning and no memo entry, as ``G_RS``
+    need not be singular at the next ``t``.  Eigenvalues that fail to
+    converge come back NaN, which are no roots."""
     r, s = y > 0.0, x > 0.0
     key = r.tobytes(), s.tobytes()
     roots = memo.get(key)
-    if roots is None and np.count_nonzero(r) == np.count_nonzero(s):
-        try:
-            mu = np.linalg.eigvals(np.linalg.solve(g[r][:, s], np.eye(g.shape[0])[r][:, s]))
-        except np.linalg.LinAlgError:
+    if roots is None:
+        rows, cols = r.nonzero()[0][:, None], s.nonzero()[0]
+        if rows.size != cols.size:
             return np.empty(0)
-        real = (mu != 0.0) & (np.abs(mu.imag) <= 1e-9 * np.abs(mu))
-        roots = memo[key] = t + 1.0 / mu.real[real]
-    return np.empty(0) if roots is None else roots
+        with np.errstate(all="ignore"):  # a failed solve or iteration fills its output with NaN
+            m = _umath_linalg.solve(g[rows, cols], (rows == cols).astype(float))
+            if not np.isfinite(m).all():  # G_RS singular, or the solve overflowed
+                return np.empty(0)
+            mu = _umath_linalg.eigvals(m, signature="d->D").tolist()
+        roots = memo[key] = np.array([t + 1.0 / v.real for v in mu if v and abs(v.imag) <= 1e-9 * abs(v)])
+    return roots
 
 
 def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) -> np.ndarray:
@@ -280,10 +309,11 @@ def _most_interior(b: np.ndarray, t: float, floor: float, fallback: np.ndarray) 
     ``t + min (G w)_i / w_i`` reaches ``floor``, else ``fallback``.  A cold
     LP on ``b``: at the value it can return any vertex of a degenerate
     optimal face; just inside, Bland's rule picks the most interior one."""
-    g, slack = _shift(b, t)
-    sol = solve_max_eps(g)
-    w, bound = _answer(t, slack, sol.x_star, sol.y_star, g @ sol.x_star, g.T @ sol.y_star)
-    return w if w is not None and bound >= floor else fallback
+    g = _shift(b, t)
+    w = solve_max_eps(g).x_star
+    slack = _FEAS_TOL * max(1.0, float(np.maximum.reduce(np.abs(g), axis=None)))  # _pure's, on G
+    bound = _ratio(t, slack, w, (g @ w).tolist())
+    return w if bound is not None and bound >= floor else fallback
 
 
 def _narrow(brackets: dict, vectors: dict, t: float, found: dict) -> None:
@@ -367,7 +397,7 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
     for t, (found, _) in zip((lo0, hi0), ends):
         _narrow(brackets, vectors, t, found)
     # The kernel roots of the last LP-solved test, in t.
-    roots = next((r for _, r in ends[::-1] if r is not None), np.empty(0))
+    roots = next((r for _, r in ends[::-1] if r is not None), np.empty(0)).tolist()
 
     def width(side):
         return brackets[side][1] - brackets[side][0]
@@ -381,16 +411,16 @@ def _search(b: np.ndarray, tol: float, scale: float) -> tuple:
             if steps > budget:
                 raise _breakdown(f"search exceeded its step budget of {budget} steps", lo, hi, tol, side)
             t = 0.5 * (lo + hi)
-            inside = side * roots[(lo < side * roots) & (side * roots < hi)]
-            if halved and inside.size:
-                root = float(inside[np.abs(inside - t).argmin()])
+            inside = [side * r for r in roots if lo < side * r < hi]
+            if halved and inside:
+                root = min(inside, key=lambda r: abs(r - t))  # the first nearest, as argmin's
                 step = root - 2.0 * close if root - lo > hi - root else root + 2.0 * close
                 if lo < step < hi:
                     t = step
             found, kernel = _test(b, side * t, memo)
             _narrow(brackets, vectors, side * t, found)
             if kernel is not None:
-                roots = kernel
+                roots = kernel.tolist()
             halved = width(side) <= 0.5 * (hi - lo)
     return (brackets[1][0], vectors[1]), (0.0 - brackets[-1][0], vectors[-1])  # 0.0 -: no -0.0
 
@@ -404,13 +434,13 @@ def _split(b: np.ndarray, comps: list, tol: float, scale: float) -> dict:
     if head.size == 1:
         first = ((float(b[head[0], head[0]]) + 0.0, np.ones(1)),) * 2  # + 0.0: no -0.0
     else:
-        first = _search(b[np.ix_(head, head)], tol, scale)
-    embed = np.eye(b.shape[0])[:, head]  # exact: each entry is a vec entry plus zeros
-    parts = {side: (value, embed @ vec, True) for side, (value, vec) in zip(_BOTH, first)}
+        first = _search(b[head[:, None], head], tol, scale)
+    parts = {side: (value, np.bincount(head, weights=vec, minlength=b.shape[0]), True)  # exact scatter
+             for side, (value, vec) in zip(_BOTH, first)}
     if not rest:
         return parts
     tail = _split(b, rest, tol, scale)
-    c = b[np.ix_(head, np.concatenate(rest))]
+    c = b[head[:, None], np.concatenate(rest)]
     nonneg, nonpos = (c >= 0.0).all(), (c <= 0.0).all()
     (up1, w1, _), (up2, _, up_exact) = parts[1], tail[1]
     (lo1, z1, _), (lo2, z2, lo_exact) = parts[-1], tail[-1]

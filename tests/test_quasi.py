@@ -1014,7 +1014,7 @@ def test_each_kernel_builds_its_pencil_once_per_search(monkeypatch):
     import quasieig.quasi as quasi_module
 
     kernels = record_calls(monkeypatch, quasi_module, "_kernel_roots")
-    pencils = record_calls(monkeypatch, np.linalg, "eigvals")
+    pencils = record_calls(monkeypatch, quasi_module._umath_linalg, "eigvals")
     for a, cone in _memo_corpus():
         quasi_pair(a, cone)
     # The recorded calls keep each search's memo alive, so its id is unique.
@@ -1043,6 +1043,161 @@ def test_kernels_sharing_one_support_keep_their_own_roots():
     assert shared[1] == pytest.approx([t + g[1, 1] - g[1, 0] * g[2, 1] / g[2, 0]], rel=1e-12)
     assert shared[2] == pytest.approx([t + g[1, 1] - g[0, 1] * g[1, 2] / g[0, 2]], rel=1e-12)
     assert np.sort(shared[0]) == pytest.approx(np.sort(t + np.linalg.eigvals(g[:2, :2]).real), rel=1e-12)
+
+
+def _linalg_roots(g, t, x, y):
+    """The kernel roots by ``np.linalg.solve`` and ``np.linalg.eigvals``, with
+    the wrappers' checks: the route ``_kernel_roots`` replaced by their
+    gufuncs.  None where a wrapper raises."""
+    r, s = y > 0.0, x > 0.0
+    if np.count_nonzero(r) != np.count_nonzero(s):
+        return np.empty(0)
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(g[r][:, s], np.eye(g.shape[0])[r][:, s]))
+    except np.linalg.LinAlgError:
+        return None
+    real = (mu != 0.0) & (np.abs(mu.imag) <= 1e-9 * np.abs(mu))
+    return t + 1.0 / mu.real[real]
+
+
+@pytest.mark.parametrize("g_rs", [
+    [[0.0]], [[-0.0]], [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]],  # singular
+    [[1e-320]], [[1e-310, 0.0], [0.0, 1.0]], [[1.0, 1e300], [0.0, 1e-300]],  # the solve overflows
+], ids=["zero", "minus-zero", "rank-one", "ones", "subnormal", "tiny-pivot", "huge-inverse"])
+def test_a_singular_or_overflowing_pencil_has_no_roots_and_is_not_kept(g_rs):
+    # The LAPACK gufuncs report a singular G_RS through the invalid flag and
+    # an overflowing solve through its entries; np.linalg's wrappers raise
+    # LinAlgError for both.  Each pencil here gives no root, no warning (the
+    # warnings filter turns one into an error) and no memo entry, as the
+    # wrappers' route would give none.
+    import quasieig.quasi as quasi_module
+
+    g_rs = np.array(g_rs)
+    k = g_rs.shape[0]
+    g = np.full((k + 1, k + 1), 0.5)
+    g[:k, :k] = g_rs
+    x = y = np.r_[np.full(k, 1.0 / k), 0.0]
+    memo = {"other": np.empty(0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = quasi_module._kernel_roots(g, 0.25, x, y, memo)
+        assert _linalg_roots(g, 0.25, x, y) is None
+    assert roots.size == 0
+    assert list(memo) == ["other"]
+
+
+def test_kernel_roots_match_the_linalg_route_bit_for_bit(monkeypatch):
+    # Every kernel the searches of a seeded corpus meet, and random square
+    # kernels of dense and {-1, 0, 1} matrices (some singular, some with
+    # complex pairs), give the same roots through the gufuncs as through
+    # np.linalg.solve and np.linalg.eigvals, bit for bit, and no roots
+    # exactly where a wrapper raises.
+    import quasieig.quasi as quasi_module
+
+    kernels = record_calls(monkeypatch, quasi_module, "_kernel_roots")
+    for a, cone in _memo_corpus():
+        quasi_pair(a, cone)
+    cases = [(g, t, x, y) for g, t, x, y, _ in kernels]
+    rng = np.random.default_rng(32)
+    for k in range(400):
+        n = 2 + k % 7
+        g = rng.uniform(-1.0, 1.0, (n, n)) if k % 2 else rng.integers(-1, 2, (n, n)).astype(float)
+        size = int(rng.integers(1, n + 1))
+        x, y = np.zeros(n), np.zeros(n)
+        x[rng.choice(n, size, replace=False)] = 1.0 / size
+        y[rng.choice(n, size, replace=False)] = 1.0 / size
+        cases.append((g, float(rng.uniform(-2.0, 2.0)), x, y))
+    counts = {"roots": 0, "none": 0, "raised": 0}
+    for g, t, x, y in cases:
+        memo = {}
+        got, want = quasi_module._kernel_roots(g, t, x, y, memo), _linalg_roots(g, t, x, y)
+        if want is None:
+            counts["raised"] += 1
+            assert got.size == 0 and not memo
+            continue
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        counts["roots" if got.size else "none"] += 1
+    assert counts["roots"] >= 300 and counts["none"] >= 100 and counts["raised"] >= 20
+
+
+def _numpy_pure(b, t):
+    """The pure-strategy decision of a test at ``t``, on ``G = B - t I``
+    reduced with numpy: column minima, row maxima, slack, ``j``, ``i`` and
+    the sides the pure strategies decide, as ``{side: (vector, bound)}``."""
+    import quasieig.quasi as quasi_module
+
+    n = b.shape[0]
+    g = b - t * np.eye(n)
+    slack = quasi_module._FEAS_TOL * max(1.0, float(np.abs(g).max()))
+    cols, rows = g.min(axis=0), g.max(axis=1)
+    j, i = int(cols.argmax()), int(rows.argmin())
+    found = {}
+    if cols[j] >= -slack:
+        found[1] = (np.eye(n)[j], float(b[j, j]))
+    elif rows[i] < -slack:
+        found[1] = (None, t + (float(rows[i]) + slack))
+    if rows[i] <= slack:
+        found[-1] = (np.eye(n)[i], -float(b[i, i]))
+    elif cols[j] > slack:
+        found[-1] = (None, -t + (slack - float(cols[j])))
+    return cols, rows, slack, j, i, found
+
+
+def _pure_corpus():
+    """``(B, t)`` pairs: n = 2, tied columns and rows, zero entries of both
+    signs, dense rotated ``B``, each at ``t`` of both signs, at its own
+    diagonal entries (zeros of ``G``) and across its symmetric-part bracket."""
+    rng = np.random.default_rng(33)
+    mats = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, -0.0], [0.0, -0.0]]),
+            np.array([[-0.0, 1.0], [-1.0, 0.0]]), np.ones((3, 3)) - np.eye(3),
+            np.array([[2.0, -0.0, 2.0], [0.0, 1.0, 0.0], [2.0, -0.0, 2.0]])]
+    for k in range(30):
+        n = 2 + k % 5
+        a = rng.integers(-2, 3, (n, n)).astype(float)
+        a[rng.random((n, n)) < 0.3] = -0.0
+        a[:, -1] = a[:, 0]  # a tied column (and, where the rows agree, a tied row)
+        mats.append(a)
+        b = random_matrix(rng, n)
+        mats.append(random_cone(rng, n).basis.T @ b @ random_cone(rng, n).basis)
+    cases = []
+    for b in mats:
+        lo, hi = (float(v) for v in symmetric_part_eigs(b)[[0, -1]])
+        ts = [0.0, -0.0, -1.5, lo - 1.0, hi + 1.0, *np.linspace(lo, hi, 5).tolist(), *b.diagonal().tolist()]
+        cases.extend((b, t) for t in ts)
+    return cases
+
+
+def test_pure_strategies_on_floats_match_the_numpy_reductions(monkeypatch):
+    # _test reads the pure strategies of G = B - t I on Python floats.  Over
+    # the corpus each column minimum, row maximum, slack, j and i equals
+    # numpy's (a minimum of zeros may differ from numpy's in its sign,
+    # which no bound reads), every bound a pure strategy returns is numpy's
+    # bit for bit, with its vector, and a test that pure strategies decide
+    # on both sides runs no LP; any other runs exactly one.
+    import quasieig.quasi as quasi_module
+
+    solves = record_calls(monkeypatch, quasi_module, "solve_max_eps")
+    decided = {1: 0, -1: 0, "both": 0, "lp": 0}
+    for b, t in _pure_corpus():
+        cols, rows, slack, j, i, want = _numpy_pure(b, t)
+        got_cols, got_rows, got_slack = quasi_module._pure(b, t, {})
+        assert got_cols == cols.tolist() and got_rows == rows.tolist()
+        assert got_slack.hex() == slack.hex()
+        assert (got_cols.index(max(got_cols)), got_rows.index(min(got_rows))) == (j, i)
+        before = len(solves)
+        found, kernel = quasi_module._test(b, t, {})
+        for side, (vec, bound) in want.items():
+            decided[side] += 1
+            assert bound.hex() == found[side][1].hex()
+            assert (vec is None) == (found[side][0] is None)
+            assert vec is None or vec.tobytes() == found[side][0].tobytes()
+        if len(want) == 2:
+            decided["both"] += 1
+            assert len(solves) == before and kernel is None
+        else:
+            decided["lp"] += 1
+            assert len(solves) == before + 1 and kernel is not None
+    assert min(decided.values()) >= 50
 
 
 def _pair_bits(a, cone):
